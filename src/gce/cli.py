@@ -16,6 +16,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
     from_json,
     from_standard_form,
@@ -30,10 +32,12 @@ from .errors import (
     MalformedInputError,
     UnphysicalStateError,
 )
-from .estimator import entanglement_report, estimate
+from .entangle import RegionLabel
+from .estimator import entanglement_report, estimate, estimate_arrays
 from .extremal import SqueezedThermalParams, glems, gmemms, gmems, squeezed_thermal
-from .oracle import SampleConfig, crosscheck_closed_forms, validate_bounds
-from .param import check_purity_constraints, delta_bounds
+from .oracle import (SampleConfig, _crosscheck_batch, _validate_batch,
+                     crosscheck_closed_forms, sample_standard_forms, validate_bounds)
+from .param import delta_bounds, purity_masks
 
 __all__ = [
     "SweepSpec",
@@ -45,6 +49,7 @@ __all__ = [
 ]
 
 _FMT = "%.12g"
+_ROW_FMT = ",".join([_FMT] * 4)
 
 
 def _fmt(value: float) -> str:
@@ -139,20 +144,31 @@ def run_bounds(mu1: float, mu2: float, mu: float, as_json: bool = False) -> str:
 
 
 def run_sweep(spec: SweepSpec, log_base: str = "e") -> str:
-    """CSV text for the sweep grid; see SweepSpec for the layout."""
+    """CSV text for the sweep grid; see SweepSpec for the layout.
+
+    One `estimate_arrays` call covers every grid point inside the strip.
+    """
     scale = _log_scale(log_base)
+    tol = resolve_tolerance(None)
+    mu_i = _grid(spec.mu_i_start, spec.mu_i_stop, spec.mu_i_step)
+    mu = _grid(spec.mu_start, spec.mu_stop, spec.mu_step)
+    m1, m = (a.ravel() for a in np.meshgrid(mu_i, mu, indexing="ij"))
+    inside = purity_masks(m1, m1, m, tol)[1]
+    region, lo, hi, avg, rel = estimate_arrays(m1[inside], m1[inside], m[inside], tol)
+    labels = [label.value for label in RegionLabel]
+    values = zip(region.tolist(), (lo * scale).tolist(), (hi * scale).tolist(),
+                 (avg * scale).tolist(), rel.tolist())
+    mu_text = [_fmt(x) for x in mu]
     lines = ["mu_i,mu,region,en_min,en_max,en_avg,rel_err"]
-    for mu_i in _grid(spec.mu_i_start, spec.mu_i_stop, spec.mu_i_step):
-        for mu in _grid(spec.mu_start, spec.mu_stop, spec.mu_step):
-            if check_purity_constraints(mu_i, mu_i, mu):
-                r = estimate(mu_i, mu_i, mu)
-                row = (_fmt(mu_i), _fmt(mu), r.region.value,
-                       _fmt(r.en_min * scale), _fmt(r.en_max * scale),
-                       _fmt(r.en_avg * scale), _fmt(r.rel_err))
+    flags = iter(inside.tolist())
+    for x in mu_i:
+        x_text = _fmt(x)
+        for y_text in mu_text:
+            if next(flags):
+                row = next(values)
+                lines.append(f"{x_text},{y_text},{labels[row[0]]}," + _ROW_FMT % row[1:])
             else:
-                row = (_fmt(mu_i), _fmt(mu), "unphysical",
-                       "nan", "nan", "nan", "nan")
-            lines.append(",".join(row))
+                lines.append(f"{x_text},{y_text},unphysical,nan,nan,nan,nan")
     return "\n".join(lines) + "\n"
 
 
@@ -209,11 +225,15 @@ def _cmd_construct(args: argparse.Namespace) -> str:
 
 def _cmd_validate(args: argparse.Namespace) -> tuple[str, int]:
     cfg = SampleConfig(seed=args.seed, count=args.count, a_max=args.a_max)
-    reports = {}
-    if args.check in ("bounds", "all"):
-        reports["bounds"] = validate_bounds(cfg)
-    if args.check in ("closed-forms", "all"):
-        reports["closed_forms"] = crosscheck_closed_forms(cfg)
+    if args.check == "bounds":
+        reports = {"bounds": validate_bounds(cfg)}
+    elif args.check == "closed-forms":
+        reports = {"closed_forms": crosscheck_closed_forms(cfg)}
+    else:
+        # Both checks read the same states: sample them once.
+        batch = sample_standard_forms(cfg)
+        reports = {"bounds": _validate_batch(cfg, batch),
+                   "closed_forms": _crosscheck_batch(cfg, batch)}
     total = sum(r["total_violations"] for r in reports.values())
     return json.dumps(reports, sort_keys=True, indent=2), 0 if total == 0 else 1
 

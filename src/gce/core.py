@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     ConfigurationError,
+    GceError,
     MalformedInputError,
     OutOfRegionError,
     UnphysicalStateError,
@@ -32,6 +33,7 @@ __all__ = [
     "Invariants",
     "SymplecticSpectrum",
     "PurityPoint",
+    "PURITY_FLOOR",
     "default_tolerance",
     "resolve_tolerance",
     "as_covariance_matrix",
@@ -60,6 +62,11 @@ JSON_CONVENTION = "vacuum=1/2"
 
 # Relative clamp window for radicands that sit on an exact zero set.
 _RADICAND_SLACK = 1e-12
+
+#: Smallest accepted purity. The closed forms multiply up to eight purities
+#: (glems_closed_form divides by mu^2 mu1^3 mu2^3); above 1e-30 every such
+#: product stays a normal float, while near 1e-162 even mu1*mu2 underflows to 0.
+PURITY_FLOOR = 1e-30
 
 
 def default_tolerance() -> float:
@@ -93,14 +100,21 @@ def _as_float(name: str, value) -> float:
     return out
 
 
-def _purity_violation(mu1: float, mu2: float, mu: float, tol: float) -> str | None:
-    """Message naming the violated purity constraint, or None if both hold."""
+def _purity_error(mu1: float, mu2: float, mu: float, tol: float) -> GceError | None:
+    """The error naming the first rule a scalar purity triple breaks, or None."""
+    for name, value in (("mu1", mu1), ("mu2", mu2), ("mu", mu)):
+        if not 0.0 < value <= 1.0 + tol:
+            return MalformedInputError(f"{name} = {value!r} lies outside (0, 1]")
+        if value < PURITY_FLOOR:
+            return MalformedInputError(
+                f"{name} = {value!r} lies below the purity floor {PURITY_FLOOR:g}"
+            )
     lower = mu1 * mu2
     upper = lower / (lower + abs(mu1 - mu2))
     if mu < lower - tol:
-        return f"mu = {mu:.12g} violates mu >= mu1*mu2 = {lower:.12g}"
+        return OutOfRegionError(f"mu = {mu:.12g} violates mu >= mu1*mu2 = {lower:.12g}")
     if mu > upper + tol:
-        return (
+        return OutOfRegionError(
             f"mu = {mu:.12g} violates "
             f"mu <= mu1*mu2/(mu1*mu2 + |mu1 - mu2|) = {upper:.12g}"
         )
@@ -234,7 +248,8 @@ class PurityPoint:
 
     Construction enforces the two existence constraints
     mu1*mu2 <= mu <= mu1*mu2 / (mu1*mu2 + |mu1 - mu2|); no two-mode Gaussian
-    state has purities outside that strip. The checks run at eight times the
+    state has purities outside that strip. Purities below PURITY_FLOOR are
+    rejected as malformed. The checks run at eight times the
     base tolerance so that states admitted by the physicality slack still map
     to constructible points.
     """
@@ -245,17 +260,13 @@ class PurityPoint:
     delta: float | None = None
 
     def __post_init__(self) -> None:
-        tol = 8.0 * default_tolerance()
         for name in ("mu1", "mu2", "mu"):
-            value = _as_float(name, getattr(self, name))
-            if value <= 0.0 or value > 1.0 + tol:
-                raise MalformedInputError(f"{name} must lie in (0, 1], got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _as_float(name, getattr(self, name)))
         if self.delta is not None:
             object.__setattr__(self, "delta", _as_float("delta", self.delta))
-        message = _purity_violation(self.mu1, self.mu2, self.mu, tol)
-        if message is not None:
-            raise OutOfRegionError(message)
+        error = _purity_error(self.mu1, self.mu2, self.mu, 8.0 * default_tolerance())
+        if error is not None:
+            raise error
 
 
 def as_covariance_matrix(cm) -> CovarianceMatrix:

@@ -22,6 +22,7 @@ from .entangle import (
     classify,
     log_negativity,
     ppt_smallest_eigenvalue,
+    region_code,
 )
 from .param import require_valid_purities
 
@@ -31,6 +32,7 @@ __all__ = [
     "en_min",
     "relative_error",
     "estimate",
+    "estimate_arrays",
     "entanglement_report",
 ]
 
@@ -92,7 +94,10 @@ def en_max(mu1, mu2, mu, tol: float | None = None):
 
     Equals the exact E_N of the maximally entangled construction
     `extremal.gmems` at these purities; clamped at 0. Accepts scalars or
-    broadcastable arrays.
+    broadcastable arrays. Unlike `estimate` and `estimate_arrays`, it has no
+    region clamp: inside the tolerance collar above the separable threshold
+    it can be a rounding-level positive value where they report 0 (2.1e-9
+    at (0.5, 0.5, 0.3333333338)).
 
     Raises:
         MalformedInputError: purities outside (0, 1].
@@ -109,7 +114,9 @@ def en_min(mu1, mu2, mu, tol: float | None = None):
     Equals the exact E_N of the least entangled construction
     `extremal.glems` at these purities: positive only in the region where
     every state is entangled, 0 elsewhere. Accepts scalars or broadcastable
-    arrays.
+    arrays. Unlike `estimate` and `estimate_arrays`, it has no region clamp:
+    inside the tolerance collar above the coexistence threshold it can be a
+    rounding-level positive value where they report 0.
 
     Raises:
         MalformedInputError: purities outside (0, 1].
@@ -164,6 +171,23 @@ def estimate(mu1, mu2, mu, tol: float | None = None) -> EstimateResult:
         rel_err=float(relative_error(hi, lo)),
         region=region,
     )
+
+
+def estimate_arrays(mu1, mu2, mu, tol: float):
+    """Columns of `estimate` for arrays of valid purity triples; no validation.
+
+    Returns (region, en_min, en_max, en_avg, rel_err): the region code of
+    `entangle.region_code` and the four bounds exactly as `estimate` gives
+    them per triple, with en_min <= en_max and the region clamp applied
+    (both bounds 0 on a separable code, en_min 0 on a coexistence code).
+    Callers validate first, for example with `param.purity_masks`.
+    """
+    region = region_code(mu1, mu2, mu, tol)
+    hi = _en_max_core(mu1, mu2, mu)
+    lo = np.minimum(_en_min_core(mu1, mu2, mu), hi)
+    hi = np.where(region == 0, 0.0, hi)
+    lo = np.where(region == 2, lo, 0.0)
+    return region, lo, hi, 0.5 * (hi + lo), relative_error(hi, lo)
 
 
 def entanglement_report(p: PurityPoint, tol: float | None = None) -> EntanglementReport:

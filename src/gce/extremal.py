@@ -21,13 +21,15 @@ import numpy as np
 
 from .core import (
     StandardForm,
+    _as_float,
+    _purity_error,
     default_tolerance,
     invariants,
     resolve_tolerance,
     symplectic_spectrum,
 )
 from .errors import GceError, InactiveBranchError, MalformedInputError
-from .param import delta_bounds, require_valid_purities
+from .param import delta_bounds, purity_masks, require_valid_purities
 
 __all__ = [
     "SqueezedThermalParams",
@@ -184,19 +186,14 @@ def gmemms(mu1, mu2, tol: float | None = None) -> StandardForm:
     mu1 = mu2 this is a pure two-mode squeezed state.
 
     Raises:
-        MalformedInputError: marginals outside (0, 1].
+        MalformedInputError: marginals outside (0, 1] or below PURITY_FLOOR.
         GceError: internal consistency check failed (the two constructions
             disagree at the collapsed point).
     """
     t = resolve_tolerance(tol)
-    for name, value in (("mu1", mu1), ("mu2", mu2)):
-        try:
-            x = float(value)
-        except (TypeError, ValueError) as exc:
-            raise MalformedInputError(f"{name} must be a real number, got {value!r}") from exc
-        if not math.isfinite(x) or x <= 0.0 or x > 1.0 + t:
-            raise MalformedInputError(f"{name} = {value!r} lies outside (0, 1]")
-    m1, m2 = float(mu1), float(mu2)
+    m1, m2 = _as_float("mu1", mu1), _as_float("mu2", mu2)
+    if not purity_masks(m1, m2, 1.0, t)[0]:
+        raise _purity_error(m1, m2, 1.0, t)
     prod = m1 * m2
     m = prod / (prod + abs(m1 - m2))
     most = gmems(m1, m2, m, t)

@@ -192,8 +192,12 @@ def validate_bounds(cfg: SampleConfig) -> dict:
         JSON-ready dict: config echo, trials, acceptance_rate, per-check
         {violations, worst_margin, samples} and total_violations.
     """
+    return _validate_batch(cfg, sample_standard_forms(cfg))
+
+
+def _validate_batch(cfg: SampleConfig, batch: SampleBatch) -> dict:
+    """`validate_bounds` on states already sampled for cfg."""
     tol = resolve_tolerance(cfg.tolerance)
-    batch = sample_standard_forms(cfg)
     a, b, cp, cm = batch.a, batch.b, batch.c_plus, batch.c_minus
     mu1, mu2, mu, delta = purity_arrays(a, b, cp, cm)
 
@@ -263,8 +267,12 @@ def crosscheck_closed_forms(cfg: SampleConfig) -> dict:
         JSON-ready dict with max deviations, per-check violation counts
         against the tolerance, and total_violations.
     """
+    return _crosscheck_batch(cfg, sample_standard_forms(cfg))
+
+
+def _crosscheck_batch(cfg: SampleConfig, batch: SampleBatch) -> dict:
+    """`crosscheck_closed_forms` on states already sampled for cfg."""
     tol = resolve_tolerance(cfg.tolerance)
-    batch = sample_standard_forms(cfg)
     mu1, mu2, mu, _ = purity_arrays(batch.a, batch.b, batch.c_plus, batch.c_minus)
 
     en_hi = _en_max_core(mu1, mu2, mu)

@@ -10,15 +10,15 @@ directions and exposes the existence bounds on delta at fixed purities.
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 
 from .core import (
+    PURITY_FLOOR,
     Diagnostic,
     PurityPoint,
     StandardForm,
-    _purity_violation,
+    _purity_error,
     is_physical,
     resolve_tolerance,
 )
@@ -29,6 +29,7 @@ __all__ = [
     "purity_point",
     "standard_form_from_purities",
     "delta_bounds",
+    "purity_masks",
     "check_purity_constraints",
     "require_valid_purities",
     "inversion_arrays",
@@ -38,37 +39,54 @@ __all__ = [
 ]
 
 
+def purity_masks(mu1, mu2, mu, tol: float):
+    """Domain and strip tests of purity triples; never raises or warns.
+
+    Returns (in_domain, accepted). in_domain holds where every purity lies in
+    [PURITY_FLOOR, 1 + tol]; accepted holds where, in addition,
+    mu1*mu2 - tol <= mu <= mu1*mu2 / (mu1*mu2 + |mu1 - mu2|) + tol.
+
+    Takes Python floats, giving bools, or broadcastable float arrays, giving
+    bool arrays. Entries outside the domain may overflow or turn nan on the
+    way to their False verdict, so numpy's floating-point warnings are off.
+    """
+    top = 1.0 + tol
+    in_domain = ((mu1 >= PURITY_FLOOR) & (mu1 <= top) & (mu2 >= PURITY_FLOOR)
+                 & (mu2 <= top) & (mu >= PURITY_FLOOR) & (mu <= top))
+    with np.errstate(all="ignore"):
+        lower = mu1 * mu2
+        span = lower + abs(mu1 - mu2)
+        # In the domain span >= mu1*mu2 >= 1e-60, where adding 1e-300 changes
+        # no bit; outside it span may be 0, and this keeps a Python float
+        # clear of ZeroDivisionError.
+        upper = lower / (span + 1e-300)
+        return in_domain, in_domain & (mu >= lower - tol) & (mu <= upper + tol)
+
+
 def check_purity_constraints(mu1, mu2, mu, tol: float | None = None) -> Diagnostic:
     """Diagnostic for the two existence constraints on a purity triple.
 
     A triple (mu1, mu2, mu) belongs to a physical two-mode Gaussian state iff
     mu1*mu2 <= mu <= mu1*mu2 / (mu1*mu2 + |mu1 - mu2|), both up to `tol`.
-    Domain failures (non-finite values or purities outside (0, 1]) are
-    reported as failing diagnostics rather than raised.
+    Domain failures (non-numeric or non-finite values, purities outside
+    (0, 1] or below PURITY_FLOOR) are reported as failing diagnostics rather
+    than raised.
     """
-    t = resolve_tolerance(tol)
-    values = []
-    for name, value in (("mu1", mu1), ("mu2", mu2), ("mu", mu)):
-        try:
-            x = float(value)
-        except (TypeError, ValueError):
-            return Diagnostic(False, f"{name} is not a real number")
-        if not math.isfinite(x):
-            return Diagnostic(False, f"{name} is not finite")
-        if x <= 0.0 or x > 1.0 + t:
-            return Diagnostic(False, f"{name} = {x:.12g} lies outside (0, 1]")
-        values.append(x)
-    message = _purity_violation(values[0], values[1], values[2], t)
-    if message is not None:
-        return Diagnostic(False, message)
+    try:
+        require_valid_purities(mu1, mu2, mu, tol)
+    except (MalformedInputError, OutOfRegionError) as exc:
+        return Diagnostic(False, str(exc))
     return Diagnostic(True, "purities are consistent")
 
 
 def require_valid_purities(mu1, mu2, mu, tol: float | None = None):
     """Validate purities (scalar or array) and return them as float arrays.
 
+    The verdict is `purity_masks`.
+
     Raises:
-        MalformedInputError: non-finite entries or purities outside (0, 1].
+        MalformedInputError: non-numeric or non-finite entries, or purities
+            outside (0, 1] or below PURITY_FLOOR.
         OutOfRegionError: violation of the existence constraints.
     """
     t = resolve_tolerance(tol)
@@ -76,36 +94,25 @@ def require_valid_purities(mu1, mu2, mu, tol: float | None = None):
         m1 = np.asarray(mu1, dtype=float)
         m2 = np.asarray(mu2, dtype=float)
         m = np.asarray(mu, dtype=float)
-        m1, m2, m = np.broadcast_arrays(m1, m2, m)
+        # Three scalars need no broadcasting, which costs more than the checks.
+        if m1.ndim or m2.ndim or m.ndim:
+            m1, m2, m = np.broadcast_arrays(m1, m2, m)
     except (TypeError, ValueError) as exc:
         raise MalformedInputError(f"purities are not numeric: {exc}") from exc
-    scalar = m.ndim == 0
-    if scalar:
-        for name, value in (("mu1", float(m1)), ("mu2", float(m2)), ("mu", float(m))):
-            if not math.isfinite(value) or value <= 0.0 or value > 1.0 + t:
-                raise MalformedInputError(
-                    f"{name} = {value!r} lies outside (0, 1]"
-                )
-        message = _purity_violation(float(m1), float(m2), float(m), t)
-        if message is not None:
-            raise OutOfRegionError(message)
+    if m.ndim == 0:
+        values = float(m1), float(m2), float(m)
+        if not purity_masks(*values, t)[1]:
+            raise _purity_error(*values, t)
         return m1, m2, m
-    finite = np.isfinite(m1) & np.isfinite(m2) & np.isfinite(m)
-    in_unit = (
-        (m1 > 0.0) & (m1 <= 1.0 + t) & (m2 > 0.0) & (m2 <= 1.0 + t)
-        & (m > 0.0) & (m <= 1.0 + t)
-    )
-    bad_domain = ~(finite & in_unit)
-    if np.any(bad_domain):
+    in_domain, accepted = purity_masks(m1, m2, m, t)
+    if not np.all(in_domain):
         raise MalformedInputError(
-            f"{int(np.count_nonzero(bad_domain))} purity triples lie outside (0, 1]"
+            f"{int(np.count_nonzero(~in_domain))} purity triples lie outside (0, 1] "
+            f"or below the purity floor {PURITY_FLOOR:g}"
         )
-    lower = m1 * m2
-    upper = lower / (lower + np.abs(m1 - m2))
-    violated = (m < lower - t) | (m > upper + t)
-    if np.any(violated):
+    if not np.all(accepted):
         raise OutOfRegionError(
-            f"{int(np.count_nonzero(violated))} purity triples violate the "
+            f"{int(np.count_nonzero(~accepted))} purity triples violate the "
             f"existence constraints"
         )
     return m1, m2, m

@@ -13,10 +13,14 @@ import pytest
 
 import gce
 import gce.cli as cli
+import gce.oracle as oracle
 from gce.cli import SweepSpec, main, run_sweep
 from gce.core import from_standard_form, to_json
 from gce.errors import MalformedInputError
+from gce.estimator import estimate
 from gce.extremal import gmemms, gmems
+from gce.oracle import SampleConfig, crosscheck_closed_forms, validate_bounds
+from gce.param import check_purity_constraints
 
 EN_MAX_ANCHOR = 0.7497709337957678
 EN_MIN_ANCHOR = 0.7312341491618387
@@ -64,6 +68,14 @@ class TestClassify:
     def test_malformed_input_exits_3(self, capsys):
         assert main(["classify", "--mu1", "1.5", "--mu2", "0.5", "--mu", "0.5"]) == 3
         assert "error:" in capsys.readouterr().err
+
+    def test_purities_below_the_floor_exit_3(self, capsys):
+        # mu1*mu2 underflows to 0 here; this used to end in ZeroDivisionError.
+        assert main(["classify", "--mu1", "1e-200", "--mu2", "1e-200",
+                     "--mu", "1e-300"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "purity floor" in err
+        assert "Traceback" not in err
 
 
 class TestBounds:
@@ -193,6 +205,47 @@ class TestSweep:
         with pytest.raises(MalformedInputError, match="must not precede"):
             SweepSpec(0.5, 0.5, 0.1, 0.6, 0.3, 0.1)
 
+    def test_purities_below_the_floor_are_unphysical(self, capsys):
+        assert main(["sweep", "--mu-i", "1e-200", "1e-200", "1",
+                     "--mu", "1e-300", "1e-300", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == ["1e-200,1e-300,unphysical,nan,nan,nan,nan"]
+
+    @pytest.mark.parametrize("log_base", ["e", "2"])
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            # a single global purity (degenerate range)
+            (0.105, 0.495, 0.005, 0.5, 0.5, 1.0),
+            # both ranges start at 0, outside the domain
+            (0.0, 1.0, 0.05, 0.0, 1.0, 0.05),
+            # mu_i^2 and mu = 1 fall exactly on grid points: the strip edges
+            (0.25, 1.0, 0.25, 0.0625, 1.0, 0.0625),
+            # across the lower strip edge and its tolerance band
+            (0.5, 0.5, 1.0, 0.249999998, 0.250000002, 5e-10),
+            # across the tolerance collars of the two region thresholds
+            (0.5, 0.5, 1.0, 1.0 / 3.0 - 2e-9, 1.0 / 3.0 + 2e-9, 5e-10),
+            (0.5, 0.5, 1.0, 0.5 / math.sqrt(1.75) - 2e-9,
+             0.5 / math.sqrt(1.75) + 2e-9, 5e-10),
+            # outside (0, 1] on both sides
+            (-0.2, 1.2, 0.07, -0.1, 1.3, 0.05),
+        ],
+    )
+    def test_rows_match_scalar_path(self, grid, log_base):
+        scale = 1.0 / math.log(2.0) if log_base == "2" else 1.0
+        expected = ["mu_i,mu,region,en_min,en_max,en_avg,rel_err"]
+        for mu_i in cli._grid(*grid[:3]):
+            for mu in cli._grid(*grid[3:]):
+                if check_purity_constraints(mu_i, mu_i, mu):
+                    r = estimate(mu_i, mu_i, mu)
+                    row = ["%.12g" % mu_i, "%.12g" % mu, r.region.value,
+                           "%.12g" % (r.en_min * scale), "%.12g" % (r.en_max * scale),
+                           "%.12g" % (r.en_avg * scale), "%.12g" % r.rel_err]
+                else:
+                    row = ["%.12g" % mu_i, "%.12g" % mu, "unphysical"] + ["nan"] * 4
+                expected.append(",".join(row))
+        assert run_sweep(SweepSpec(*grid), log_base) == "\n".join(expected) + "\n"
+
     def test_row_values_match_library(self):
         text = run_sweep(SweepSpec(0.5, 0.5, 0.1, 0.6, 0.6, 0.1))
         row = text.strip().splitlines()[1].split(",")
@@ -218,6 +271,23 @@ class TestValidate:
         monkeypatch.setattr(cli, "validate_bounds",
                             lambda cfg: {"total_violations": 3})
         assert main(["validate", "--check", "bounds"]) == 1
+
+    def test_all_checks_sample_once(self, capsys, monkeypatch):
+        calls = []
+        sample = cli.sample_standard_forms
+
+        def counting(cfg):
+            calls.append(cfg)
+            return sample(cfg)
+
+        monkeypatch.setattr(cli, "sample_standard_forms", counting)
+        monkeypatch.setattr(oracle, "sample_standard_forms", counting)
+        assert main(["validate", "--seed", "3", "--count", "1000", "--check", "all"]) == 0
+        assert len(calls) == 1
+        cfg = SampleConfig(seed=3, count=1000)
+        expected = {"bounds": validate_bounds(cfg),
+                    "closed_forms": crosscheck_closed_forms(cfg)}
+        assert capsys.readouterr().out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
     def test_bad_config_exits_2(self, capsys):
         assert main(["validate", "--seed", "-1", "--count", "10"]) == 2

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from gce.core import PurityPoint, invariants, symplectic_spectrum
+from gce.core import PurityPoint, default_tolerance, invariants, symplectic_spectrum
 from gce.entangle import (
     RegionLabel,
     coexistence_threshold,
@@ -19,12 +20,13 @@ from gce.estimator import (
     en_min,
     entanglement_report,
     estimate,
+    estimate_arrays,
     relative_error,
 )
 from gce.extremal import glems, gmems
 from gce.param import purity_point
 
-from .helpers import physical_standard_forms, purity_triples
+from .helpers import physical_standard_forms, purity_triples, unit_floats
 
 EN_MAX_ANCHOR = 0.7497709337957678
 EN_MIN_ANCHOR = 0.7312341491618387
@@ -73,6 +75,13 @@ class TestBounds:
             en_max(0.5, 0.5, 0.2)
         with pytest.raises(MalformedInputError):
             en_min(1.5, 0.5, 0.5)
+
+    def test_array_rejects_purities_below_the_floor(self):
+        # mu1*mu2 underflows to 0 here; the triple must be rejected, not
+        # compared against nan and accepted.
+        with pytest.raises(MalformedInputError, match="purity floor"):
+            en_max(np.array([0.5, 1e-200]), np.array([0.5, 1e-200]),
+                   np.array([0.6, 1e-300]))
 
     @given(purity_triples())
     def test_matches_extremal_constructions(self, triple):
@@ -156,6 +165,54 @@ class TestEstimate:
             t_coex = coexistence_threshold(triple[0], triple[1])
             if triple[2] > t_coex + 1e-6:
                 assert result.en_min > 0.0
+
+
+@st.composite
+def wide_triples(draw):
+    """Valid triples beyond the default strategy: log-uniform asymmetric
+    marginals down to 1e-6, near-pure marginals, global purities inside the
+    tolerance collar of a region threshold, and global purities on the upper
+    strip edge, where en_min rounds above en_max in about one case in ten."""
+    kind = draw(st.sampled_from(("asymmetric", "near-pure", "collar", "upper edge")))
+    if kind == "near-pure":
+        mu1, mu2 = (1.0 - 10.0 ** draw(st.floats(-12.0, -1.0)) for _ in range(2))
+    else:
+        mu1, mu2 = (10.0 ** draw(st.floats(-6.0, 0.0)) for _ in range(2))
+    if draw(st.booleans()):
+        mu2 = mu1
+    lower = mu1 * mu2
+    upper = lower / (lower + abs(mu1 - mu2))
+    if kind == "collar":
+        threshold = draw(st.sampled_from((separable_threshold, coexistence_threshold)))
+        step = draw(st.sampled_from((-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)))
+        mu = min(max(threshold(mu1, mu2) + step * default_tolerance(), lower), upper)
+    elif kind == "upper edge":
+        mu = upper
+    else:
+        mu = lower + draw(unit_floats) * (upper - lower)
+    return mu1, mu2, mu
+
+
+class TestEstimateArrays:
+    @given(st.lists(wide_triples(), min_size=1, max_size=16))
+    def test_matches_scalar_estimate_exactly(self, triples):
+        mu1, mu2, mu = (np.array(column) for column in zip(*triples))
+        region, lo, hi, avg, rel = estimate_arrays(mu1, mu2, mu, default_tolerance())
+        labels = list(RegionLabel)
+        for i, triple in enumerate(triples):
+            r = estimate(*triple)
+            assert labels[region[i]] is r.region
+            assert (lo[i], hi[i], avg[i], rel[i]) == (r.en_min, r.en_max, r.en_avg, r.rel_err)
+
+    def test_region_clamp(self):
+        t_sep = separable_threshold(0.5, 0.5)
+        t_coex = coexistence_threshold(0.5, 0.5)
+        mu = np.array([t_sep + 0.5e-9, t_coex + 0.5e-9, 0.6])
+        region, lo, hi, _, _ = estimate_arrays(np.full(3, 0.5), np.full(3, 0.5), mu, 1e-9)
+        assert region.tolist() == [0, 1, 2]
+        assert hi[0] == 0.0 and en_max(0.5, 0.5, mu[0]) > 0.0
+        assert lo[1] == 0.0 and en_min(0.5, 0.5, mu[1]) > 0.0
+        assert 0.0 < lo[2] < hi[2]
 
 
 class TestEntanglementReport:

@@ -182,6 +182,9 @@ class TestGmemms:
             gmemms(0.0, 0.5)
         with pytest.raises(MalformedInputError):
             gmemms(1.2, 0.5)
+        # mu1*mu2 underflows to 0 here; this used to end in ZeroDivisionError.
+        with pytest.raises(MalformedInputError, match="purity floor"):
+            gmemms(1e-200, 1e-200)
 
     @given(purity_triples())
     def test_marginal_purities_round_trip(self, triple):

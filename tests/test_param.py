@@ -7,14 +7,23 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from gce.core import StandardForm, invariants, symplectic_spectrum
-from gce.errors import MalformedInputError, OutOfRegionError
+from gce.core import (
+    PURITY_FLOOR,
+    PurityPoint,
+    StandardForm,
+    invariants,
+    symplectic_spectrum,
+)
+from gce.errors import InactiveBranchError, MalformedInputError, OutOfRegionError
+from gce.estimator import estimate
+from gce.extremal import glems, glems_closed_form, gmems
 from gce.param import (
     check_purity_constraints,
     delta_bounds,
     inversion_arrays,
     purity_arrays,
     purity_from_json,
+    purity_masks,
     purity_point,
     purity_to_json,
     require_valid_purities,
@@ -54,6 +63,55 @@ class TestCheckPurityConstraints:
         assert check_purity_constraints(0.5, 0.5, 0.25 - 1e-12)
         assert not check_purity_constraints(0.5, 0.5, 0.25 - 1e-6)
 
+    def test_rejects_purities_below_the_floor(self):
+        diag = check_purity_constraints(1e-200, 1e-200, 1e-300)
+        assert not diag
+        assert "purity floor" in diag.reason
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestPurityMasks:
+    TRIPLES = [
+        ((0.5, 0.5, 0.3), True, True),
+        ((0.5, 0.5, 0.25 - 5e-10), True, True),
+        ((0.5, 0.5, 0.2), True, False),
+        ((0.8, 0.4, 0.6), True, False),
+        ((1.5, 0.5, 0.5), False, False),
+        ((0.0, 0.0, 0.0), False, False),
+        ((-2.0, 2.0, 0.5), False, False),
+        ((NAN, 0.5, 0.5), False, False),
+        ((INF, INF, 0.5), False, False),
+        ((1e200, 1e200, 1.0), False, False),
+        ((1e-200, 1e-200, 1e-300), False, False),
+        ((1e-6, 1e-6, 1e-80), False, False),
+    ]
+
+    def test_floats_and_arrays_agree_without_warnings(self):
+        triples = [t for t, _, _ in self.TRIPLES]
+        in_domain, accepted = purity_masks(*(np.array(c) for c in zip(*triples)), 1e-9)
+        assert in_domain.tolist() == [d for _, d, _ in self.TRIPLES]
+        assert accepted.tolist() == [a for _, _, a in self.TRIPLES]
+        for i, triple in enumerate(triples):
+            assert purity_masks(*triple, 1e-9) == (in_domain[i], accepted[i])
+
+    @pytest.mark.parametrize("triple", [
+        (PURITY_FLOOR, PURITY_FLOOR, PURITY_FLOOR),
+        (PURITY_FLOOR, 1.0, PURITY_FLOOR),
+        (PURITY_FLOOR, PURITY_FLOOR, 1.0),
+    ])
+    def test_triples_at_the_floor_give_finite_results(self, triple):
+        assert purity_masks(*triple, 1e-9) == (True, True)
+        result = estimate(*triple)
+        numbers = [result.en_min, result.en_max, *delta_bounds(*triple),
+                   *gmems(*triple).as_tuple(), *glems(*triple).as_tuple()]
+        try:
+            numbers += glems_closed_form(*triple).as_tuple()
+        except InactiveBranchError:
+            pass
+        assert all(math.isfinite(x) for x in numbers)
+
 
 class TestRequireValidPurities:
     def test_scalar_domain_error(self):
@@ -63,6 +121,12 @@ class TestRequireValidPurities:
     def test_scalar_constraint_error(self):
         with pytest.raises(OutOfRegionError, match="mu >= mu1\\*mu2"):
             require_valid_purities(0.5, 0.5, 0.2)
+
+    def test_scalar_purity_floor(self):
+        with pytest.raises(MalformedInputError, match="purity floor 1e-30"):
+            require_valid_purities(1e-200, 1e-200, 1e-300)
+        with pytest.raises(MalformedInputError, match="purity floor"):
+            PurityPoint(1e-200, 1e-200, 1e-300)
 
     def test_scalar_non_numeric(self):
         with pytest.raises(MalformedInputError, match="not numeric"):
