@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _as_float,
     from_json,
     from_standard_form,
     purities,
@@ -32,7 +33,7 @@ from .errors import (
     MalformedInputError,
     UnphysicalStateError,
 )
-from .entangle import RegionLabel
+from .entangle import RegionLabel, coexistence_threshold, separable_threshold
 from .estimator import entanglement_report, estimate, estimate_arrays
 from .extremal import SqueezedThermalParams, glems, gmemms, gmems, squeezed_thermal
 from .oracle import (SampleConfig, _crosscheck_batch, _validate_batch,
@@ -87,14 +88,7 @@ class SweepSpec:
     def __post_init__(self) -> None:
         for name in ("mu_i_start", "mu_i_stop", "mu_i_step",
                      "mu_start", "mu_stop", "mu_step"):
-            value = getattr(self, name)
-            try:
-                value = float(value)
-            except (TypeError, ValueError) as exc:
-                raise MalformedInputError(f"{name} must be a real number, got {value!r}") from exc
-            if not math.isfinite(value):
-                raise MalformedInputError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _as_float(name, getattr(self, name)))
         if self.mu_i_step <= 0.0 or self.mu_step <= 0.0:
             raise MalformedInputError("sweep steps must be positive")
         if self.mu_i_stop < self.mu_i_start or self.mu_stop < self.mu_start:
@@ -135,9 +129,8 @@ def run_bounds(mu1: float, mu2: float, mu: float, as_json: bool = False) -> str:
         ("mu", float(mu)),
         ("delta_min", delta_min),
         ("delta_max", delta_max),
-        ("separable_threshold", m1 * m2 / (m1 + m2 - m1 * m2)),
-        ("coexistence_threshold",
-         m1 * m2 / math.sqrt(m1 * m1 + m2 * m2 - m1 * m1 * m2 * m2)),
+        ("separable_threshold", separable_threshold(m1, m2)),
+        ("coexistence_threshold", coexistence_threshold(m1, m2)),
         ("region", result.region.value),
     ]
     return _render(pairs, as_json)

@@ -89,17 +89,13 @@ class SlopeCheck:
 
 
 def _ppt_nmin_sq(mu1, mu2, mu, delta):
-    """Vectorized n_tilde_minus^2; no validation, radicand clamped at zero.
+    """n_tilde_minus^2 of floats or float arrays; no validation, radicand clamped at zero.
 
     Evaluates k / (2 (delta_tilde + sqrt(delta_tilde^2 - k))) with
     k = 1/(4 mu^2), the cancellation-free form of the small root.
     """
-    m1 = np.asarray(mu1, dtype=float)
-    m2 = np.asarray(mu2, dtype=float)
-    m = np.asarray(mu, dtype=float)
-    d = np.asarray(delta, dtype=float)
-    delta_tilde = -d + 0.5 / (m1 * m1) + 0.5 / (m2 * m2)
-    k = 0.25 / (m * m)
+    delta_tilde = 0.5 / (mu1 * mu1) + 0.5 / (mu2 * mu2) - delta
+    k = 0.25 / (mu * mu)
     rad = np.maximum(delta_tilde * delta_tilde - k, 0.0)
     return 0.5 * k / (delta_tilde + np.sqrt(rad))
 

@@ -10,21 +10,21 @@ relative deviation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import PurityPoint, resolve_tolerance
 from .entangle import (
+    _REGIONS,
     EntanglementReport,
     RegionLabel,
-    classify,
+    _ppt_nmin_sq,
     log_negativity,
     ppt_smallest_eigenvalue,
     region_code,
 )
-from .param import require_valid_purities
+from .param import _delta_min, require_valid_purities
 
 __all__ = [
     "EstimateResult",
@@ -51,17 +51,12 @@ class EstimateResult:
 def _en_max_core(m1, m2, m):
     """Vectorized upper bound; no validation.
 
-    Logarithmic negativity at delta = delta_min, evaluated through the
-    cancellation-free quotient for 4 n_tilde_minus^2.
+    Logarithmic negativity -ln(4 n_tilde_minus^2)/2 at delta = delta_min.
     """
-    prod_sq = 4.0 * m1 * m1 * m2 * m2
-    delta_min = 0.5 / m + (m1 - m2) ** 2 / prod_sq
-    dtilde = 0.5 / (m1 * m1) + 0.5 / (m2 * m2) - delta_min
-    k = 0.25 / (m * m)
-    rad = np.maximum(dtilde * dtilde - k, 0.0)
-    bracket = 2.0 * k / (dtilde + np.sqrt(rad))
+    delta_min = _delta_min(m1, m2, m)
+    nmin_sq = _ppt_nmin_sq(m1, m2, m, delta_min)
     # + 0.0 turns a negative zero from the clamp into plain 0.0
-    return np.maximum(0.0, -0.5 * np.log(bracket)) + 0.0
+    return np.maximum(0.0, -0.5 * np.log(4.0 * nmin_sq)) + 0.0
 
 
 def _en_min_core(m1, m2, m):
@@ -151,25 +146,14 @@ def estimate(mu1, mu2, mu, tol: float | None = None) -> EstimateResult:
     """
     t = resolve_tolerance(tol)
     m1, m2, m = require_valid_purities(mu1, mu2, mu, t)
-    m1, m2, m = float(m1), float(m2), float(m)
-    hi = float(_en_max_core(m1, m2, m))
-    lo = min(float(_en_min_core(m1, m2, m)), hi)
-    region = classify(m1, m2, m, t)
-    # Inside the tolerance collar around the thresholds the label is
-    # authoritative: a separable label forces both bounds to exact zero and a
-    # coexistence label forces the lower one, so the label and the numbers
-    # never disagree by a rounding-level residue.
-    if region is RegionLabel.SEPARABLE:
-        hi = 0.0
-        lo = 0.0
-    elif region is RegionLabel.COEXISTENCE:
-        lo = 0.0
+    # Python floats round as 0-d arrays do, at a fraction of numpy's dispatch cost.
+    region, lo, hi, avg, rel = estimate_arrays(float(m1), float(m2), float(m), t)
     return EstimateResult(
-        en_max=hi,
-        en_min=lo,
-        en_avg=0.5 * (hi + lo),
-        rel_err=float(relative_error(hi, lo)),
-        region=region,
+        en_max=float(hi),
+        en_min=float(lo),
+        en_avg=float(avg),
+        rel_err=rel,
+        region=_REGIONS[int(region)],
     )
 
 
@@ -180,7 +164,10 @@ def estimate_arrays(mu1, mu2, mu, tol: float):
     `entangle.region_code` and the four bounds exactly as `estimate` gives
     them per triple, with en_min <= en_max and the region clamp applied
     (both bounds 0 on a separable code, en_min 0 on a coexistence code).
-    Callers validate first, for example with `param.purity_masks`.
+    Inside the tolerance collar around the thresholds the region is
+    authoritative, so the label and the numbers never disagree by a
+    rounding-level residue. Callers validate first, for example with
+    `param.purity_masks`.
     """
     region = region_code(mu1, mu2, mu, tol)
     hi = _en_max_core(mu1, mu2, mu)

@@ -29,7 +29,7 @@ from .core import (
     symplectic_spectrum,
 )
 from .errors import GceError, InactiveBranchError, MalformedInputError
-from .param import delta_bounds, purity_masks, require_valid_purities
+from .param import _delta_branches, _delta_min, purity_masks, require_valid_purities
 
 __all__ = [
     "SqueezedThermalParams",
@@ -57,16 +57,7 @@ class SqueezedThermalParams:
     def __post_init__(self) -> None:
         tol = default_tolerance()
         for name in ("r", "n_minus", "n_plus"):
-            value = getattr(self, name)
-            try:
-                value = float(value)
-            except (TypeError, ValueError) as exc:
-                raise MalformedInputError(
-                    f"{name} must be a real number, got {value!r}"
-                ) from exc
-            if not math.isfinite(value):
-                raise MalformedInputError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _as_float(name, getattr(self, name)))
         if self.r < 0.0:
             raise MalformedInputError(f"squeezing must satisfy r >= 0, got {self.r!r}")
         if self.n_minus < 0.5 - tol:
@@ -116,9 +107,9 @@ def glems(mu1, mu2, mu, tol: float | None = None) -> StandardForm:
     """
     m1, m2, m = require_valid_purities(mu1, mu2, mu, tol)
     m1, m2, m = float(m1), float(m2), float(m)
-    delta_min, delta_max = delta_bounds(m1, m2, m, tol)
-    prod_sq = 4.0 * m1 * m1 * m2 * m2
-    delta_b = (m1 + m2) ** 2 / prod_sq - 0.5 / m
+    delta_min = _delta_min(m1, m2, m)
+    delta_b, delta_h = _delta_branches(m1, m2, m)
+    delta_max = min(delta_b, delta_h)
     # Differences of the bounds sit under square roots, which would amplify
     # their float noise (~eps * scale) into ~1e-8 correlations where the
     # delta range collapses; snap anything inside the noise window to zero.
@@ -150,10 +141,7 @@ def glems_closed_form(mu1, mu2, mu, tol: float | None = None) -> StandardForm:
     t = resolve_tolerance(tol)
     m1, m2, m = require_valid_purities(mu1, mu2, mu, t)
     m1, m2, m = float(m1), float(m2), float(m)
-    prod = m1 * m2
-    prod_sq = prod * prod
-    delta_h = 0.25 * (1.0 + 1.0 / (m * m))
-    delta_b = (m1 + m2) ** 2 / (4.0 * prod_sq) - 0.5 / m
+    delta_b, delta_h = _delta_branches(m1, m2, m)
     if delta_h > delta_b + t:
         raise InactiveBranchError(
             "closed form requires the uncertainty branch to bound delta; "
@@ -164,6 +152,8 @@ def glems_closed_form(mu1, mu2, mu, tol: float | None = None) -> StandardForm:
     # uncertainty branches cross), so snap their float noise windows to zero
     # exactly as the generic construction does for its delta differences.
     eps = np.finfo(float).eps
+    prod = m1 * m2
+    prod_sq = prod * prod
     x = 1.0 + 1.0 / (m * m) - (m1 - m2) ** 2 / prod_sq
     rad1 = prod * (x * x - 4.0 / (m * m))
     snap1 = 32.0 * eps * prod * max(1.0, x * x, 4.0 / (m * m))

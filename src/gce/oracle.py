@@ -20,7 +20,7 @@ from .core import StandardForm, resolve_tolerance
 from .entangle import coexistence_threshold, separable_threshold
 from .errors import ConfigurationError
 from .estimator import _en_max_core, _en_min_core
-from .param import inversion_arrays, purity_arrays
+from .param import _delta_branches, _delta_min, inversion_arrays, purity_arrays
 
 __all__ = [
     "SampleConfig",
@@ -204,13 +204,8 @@ def _validate_batch(cfg: SampleConfig, batch: SampleBatch) -> dict:
     prod = mu1 * mu2
     lptp_margin = mu - prod
 
-    prod_sq = 4.0 * mu1 * mu1 * mu2 * mu2
-    delta_min = 0.5 / mu + (mu1 - mu2) ** 2 / prod_sq
-    delta_b = (mu1 + mu2) ** 2 / prod_sq - 0.5 / mu
-    delta_h = 0.25 * (1.0 + 1.0 / (mu * mu))
-    delta_max = np.minimum(delta_b, delta_h)
-    lower_margin = delta - delta_min
-    upper_margin = delta_max - delta
+    lower_margin = delta - _delta_min(mu1, mu2, mu)
+    upper_margin = np.minimum(*_delta_branches(mu1, mu2, mu)) - delta
 
     n_tilde = _ppt_nmin_from_entries(a, b, cp, cm)
     en = _log_negativity_arrays(n_tilde)
@@ -283,10 +278,8 @@ def _crosscheck_batch(cfg: SampleConfig, batch: SampleBatch) -> dict:
     dev_max = np.abs(en_hi - en_gmems)
 
     en_lo = _en_min_core(mu1, mu2, mu)
-    prod_sq = 4.0 * mu1 * mu1 * mu2 * mu2
-    delta_b = (mu1 + mu2) ** 2 / prod_sq - 0.5 / mu
-    delta_h = 0.25 * (1.0 + 1.0 / (mu * mu))
-    a_l, b_l, cp_l, cm_l = inversion_arrays(mu1, mu2, mu, np.minimum(delta_b, delta_h))
+    delta_max = np.minimum(*_delta_branches(mu1, mu2, mu))
+    a_l, b_l, cp_l, cm_l = inversion_arrays(mu1, mu2, mu, delta_max)
     en_glems = _log_negativity_arrays(_ppt_nmin_from_entries(a_l, b_l, cp_l, cm_l))
     dev_min = np.abs(en_lo - en_glems)
 

@@ -160,6 +160,18 @@ def purity_point(sf: StandardForm, tol: float | None = None) -> PurityPoint:
     return PurityPoint(mu1=float(mu1), mu2=float(mu2), mu=float(mu), delta=float(delta))
 
 
+def _delta_min(m1, m2, m):
+    """Lower seralian bound delta_min (see `delta_bounds`); no validation."""
+    return 0.5 / m + (m1 - m2) ** 2 / (4.0 * m1 * m1 * m2 * m2)
+
+
+def _delta_branches(m1, m2, m):
+    """The upper seralian bounds (delta_b, delta_h) of `delta_bounds`; no validation."""
+    delta_b = (m1 + m2) ** 2 / (4.0 * m1 * m1 * m2 * m2) - 0.5 / m
+    delta_h = 0.25 * (1.0 + 1.0 / (m * m))
+    return delta_b, delta_h
+
+
 def delta_bounds(mu1, mu2, mu, tol: float | None = None):
     """Range of the seralian compatible with the given purities.
 
@@ -181,14 +193,11 @@ def delta_bounds(mu1, mu2, mu, tol: float | None = None):
         OutOfRegionError: purity constraints violated.
     """
     m1, m2, m = require_valid_purities(mu1, mu2, mu, tol)
-    prod_sq = 4.0 * m1 * m1 * m2 * m2
-    delta_min = 0.5 / m + (m1 - m2) ** 2 / prod_sq
-    delta_b = (m1 + m2) ** 2 / prod_sq - 0.5 / m
-    delta_h = 0.25 * (1.0 + 1.0 / (m * m))
-    delta_max = np.minimum(delta_b, delta_h)
     if m.ndim == 0:
-        return float(delta_min), float(delta_max)
-    return delta_min, delta_max
+        # Python floats round as 0-d arrays do, at a fraction of the cost.
+        m1, m2, m = float(m1), float(m2), float(m)
+        return _delta_min(m1, m2, m), min(_delta_branches(m1, m2, m))
+    return _delta_min(m1, m2, m), np.minimum(*_delta_branches(m1, m2, m))
 
 
 def inversion_arrays(mu1, mu2, mu, delta):
@@ -207,9 +216,8 @@ def inversion_arrays(mu1, mu2, mu, delta):
     m2 = np.asarray(mu2, dtype=float)
     m = np.asarray(mu, dtype=float)
     d = np.asarray(delta, dtype=float)
-    prod_sq = 4.0 * m1 * m1 * m2 * m2
-    delta_min = 0.5 / m + (m1 - m2) ** 2 / prod_sq
-    delta_b = (m1 + m2) ** 2 / prod_sq - 0.5 / m
+    delta_min = _delta_min(m1, m2, m)
+    delta_b = _delta_branches(m1, m2, m)[0]
     inv_mu = 1.0 / m
     t1 = np.maximum(d - delta_min, 0.0)
     u1 = np.maximum(delta_b - d, 0.0)

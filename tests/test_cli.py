@@ -204,6 +204,10 @@ class TestSweep:
             SweepSpec(0.5, 0.5, 0.0, 0.3, 0.6, 0.1)
         with pytest.raises(MalformedInputError, match="must not precede"):
             SweepSpec(0.5, 0.5, 0.1, 0.6, 0.3, 0.1)
+        with pytest.raises(MalformedInputError, match="mu_stop must be finite"):
+            SweepSpec(0.5, 0.5, 0.1, 0.3, float("inf"), 0.1)
+        with pytest.raises(MalformedInputError, match="mu_i_step must be a real number"):
+            SweepSpec(0.5, 0.5, "x", 0.3, 0.6, 0.1)
 
     def test_purities_below_the_floor_are_unphysical(self, capsys):
         assert main(["sweep", "--mu-i", "1e-200", "1e-200", "1",

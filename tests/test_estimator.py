@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gce import cli, core, entangle, estimator, extremal, oracle, param
 from gce.core import PurityPoint, default_tolerance, invariants, symplectic_spectrum
 from gce.entangle import (
     RegionLabel,
@@ -153,6 +154,26 @@ class TestEstimate:
         result = estimate(0.7, 0.7, 1.0)
         assert result.en_max == pytest.approx(result.en_min, abs=1e-9)
         assert result.rel_err == pytest.approx(0.0, abs=1e-9)
+
+    def test_point_query_validates_each_call_once(self, monkeypatch):
+        # estimate, delta_bounds, gmems and glems each validate the triple
+        # once and then reuse it; no call validates it again inside.
+        original = param.require_valid_purities
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (core, param, entangle, estimator, extremal, oracle, cli):
+            if getattr(module, "require_valid_purities", None) is original:
+                monkeypatch.setattr(module, "require_valid_purities", counting)
+        triple = (0.5, 0.4, 0.3)
+        estimate(*triple)
+        param.delta_bounds(*triple)
+        gmems(*triple)
+        glems(*triple)
+        assert len(calls) == 4
 
     @given(purity_triples())
     def test_coherence(self, triple):

@@ -224,7 +224,8 @@ class TestSqueezedThermal:
 
     @pytest.mark.parametrize(
         "params",
-        [(-0.1, 1.0, 2.0), (0.3, 0.3, 2.0), (0.3, 2.0, 1.0), ("x", 1.0, 2.0)],
+        [(-0.1, 1.0, 2.0), (0.3, 0.3, 2.0), (0.3, 2.0, 1.0), ("x", 1.0, 2.0),
+         (float("nan"), 1.0, 2.0), (0.3, float("inf"), 2.0), (0.3, 1.0, "x")],
     )
     def test_rejects_bad_parameters(self, params):
         with pytest.raises(MalformedInputError):
