@@ -20,12 +20,13 @@ import numpy as np
 
 from .core import (
     _as_float,
+    _physical,
+    _purities,
+    _standard_form,
     from_json,
     from_standard_form,
-    purities,
     resolve_tolerance,
     to_json,
-    to_standard_form,
 )
 from .errors import (
     ConfigurationError,
@@ -36,8 +37,7 @@ from .errors import (
 from .entangle import RegionLabel, coexistence_threshold, separable_threshold
 from .estimator import entanglement_report, estimate, estimate_arrays
 from .extremal import SqueezedThermalParams, glems, gmemms, gmems, squeezed_thermal
-from .oracle import (SampleConfig, _crosscheck_batch, _validate_batch,
-                     crosscheck_closed_forms, sample_standard_forms, validate_bounds)
+from .oracle import SampleConfig, _crosscheck_batch, _validate_batch, sample_standard_forms
 from .param import delta_bounds, purity_masks
 
 __all__ = [
@@ -175,9 +175,9 @@ def run_analyze(path: str, log_base: str = "e", as_json: bool = False) -> str:
     scale = _log_scale(log_base)
     tol = resolve_tolerance(None)
     with open(path, "r", encoding="utf-8") as handle:
-        cm = from_json(handle.read())
-    point = purities(cm)
-    sf = to_standard_form(cm)
+        m = _physical(from_json(handle.read()), tol).entries
+    point = _purities(m)
+    sf = _standard_form(m)
     report = entanglement_report(point)
     en = report.log_negativity
     contained = report.en_min - tol <= en <= report.en_max + tol
@@ -218,15 +218,13 @@ def _cmd_construct(args: argparse.Namespace) -> str:
 
 def _cmd_validate(args: argparse.Namespace) -> tuple[str, int]:
     cfg = SampleConfig(seed=args.seed, count=args.count, a_max=args.a_max)
-    if args.check == "bounds":
-        reports = {"bounds": validate_bounds(cfg)}
-    elif args.check == "closed-forms":
-        reports = {"closed_forms": crosscheck_closed_forms(cfg)}
-    else:
-        # Both checks read the same states: sample them once.
-        batch = sample_standard_forms(cfg)
-        reports = {"bounds": _validate_batch(cfg, batch),
-                   "closed_forms": _crosscheck_batch(cfg, batch)}
+    # Every selected check reads the same states: sample them once.
+    batch = sample_standard_forms(cfg)
+    reports = {}
+    if args.check in ("bounds", "all"):
+        reports["bounds"] = _validate_batch(cfg, batch)
+    if args.check in ("closed-forms", "all"):
+        reports["closed_forms"] = _crosscheck_batch(cfg, batch)
     total = sum(r["total_violations"] for r in reports.values())
     return json.dumps(reports, sort_keys=True, indent=2), 0 if total == 0 else 1
 

@@ -121,6 +121,31 @@ def _purity_error(mu1: float, mu2: float, mu: float, tol: float) -> GceError | N
     return None
 
 
+def purity_masks(mu1, mu2, mu, tol: float):
+    """Domain and strip tests of purity triples; never raises or warns.
+
+    Returns (in_domain, accepted). in_domain holds where every purity lies in
+    [PURITY_FLOOR, 1 + tol]; accepted holds where, in addition,
+    mu1*mu2 - tol <= mu <= mu1*mu2 / (mu1*mu2 + |mu1 - mu2|) + tol.
+
+    Takes Python floats, giving bools, or broadcastable float arrays, giving
+    bool arrays. Entries outside the domain may overflow or turn nan on the
+    way to their False verdict, so numpy's floating-point warnings are off.
+    `_purity_error` words the first rule a rejected scalar triple breaks.
+    """
+    top = 1.0 + tol
+    in_domain = ((mu1 >= PURITY_FLOOR) & (mu1 <= top) & (mu2 >= PURITY_FLOOR)
+                 & (mu2 <= top) & (mu >= PURITY_FLOOR) & (mu <= top))
+    with np.errstate(all="ignore"):
+        lower = mu1 * mu2
+        span = lower + abs(mu1 - mu2)
+        # In the domain span >= mu1*mu2 >= 1e-60, where adding 1e-300 changes
+        # no bit; outside it span may be 0, and this keeps a Python float
+        # clear of ZeroDivisionError.
+        upper = lower / (span + 1e-300)
+        return in_domain, in_domain & (mu >= lower - tol) & (mu <= upper + tol)
+
+
 @dataclass(frozen=True)
 class Diagnostic:
     """Outcome of a validity check; `reason` names the first failed test."""
@@ -264,9 +289,9 @@ class PurityPoint:
             object.__setattr__(self, name, _as_float(name, getattr(self, name)))
         if self.delta is not None:
             object.__setattr__(self, "delta", _as_float("delta", self.delta))
-        error = _purity_error(self.mu1, self.mu2, self.mu, 8.0 * default_tolerance())
-        if error is not None:
-            raise error
+        tol = 8.0 * default_tolerance()
+        if not purity_masks(self.mu1, self.mu2, self.mu, tol)[1]:
+            raise _purity_error(self.mu1, self.mu2, self.mu, tol)
 
 
 def as_covariance_matrix(cm) -> CovarianceMatrix:
@@ -278,6 +303,30 @@ def as_covariance_matrix(cm) -> CovarianceMatrix:
     return CovarianceMatrix(cm)
 
 
+def _block_dets(r):
+    """(det alpha, det beta, det gamma, det sigma) of a 4x4 nested list `r`.
+
+    det sigma is expanded over complementary 2x2 minors of the first two and
+    last two columns; three of those minors are the block determinants.
+    Plain products and sums only, so the entries may be floats, Fractions or
+    broadcastable arrays.
+    """
+    d01 = r[0][0] * r[1][1] - r[1][0] * r[0][1]
+    d02 = r[0][0] * r[2][1] - r[2][0] * r[0][1]
+    d03 = r[0][0] * r[3][1] - r[3][0] * r[0][1]
+    d12 = r[1][0] * r[2][1] - r[2][0] * r[1][1]
+    d13 = r[1][0] * r[3][1] - r[3][0] * r[1][1]
+    d23 = r[2][0] * r[3][1] - r[3][0] * r[2][1]
+    c01 = r[0][2] * r[1][3] - r[1][2] * r[0][3]
+    c02 = r[0][2] * r[2][3] - r[2][2] * r[0][3]
+    c03 = r[0][2] * r[3][3] - r[3][2] * r[0][3]
+    c12 = r[1][2] * r[2][3] - r[2][2] * r[1][3]
+    c13 = r[1][2] * r[3][3] - r[3][2] * r[1][3]
+    c23 = r[2][2] * r[3][3] - r[3][2] * r[2][3]
+    det = d01 * c23 - d02 * c13 + d03 * c12 + d12 * c03 - d13 * c02 + d23 * c01
+    return d01, c23, c01, det
+
+
 def det4(m) -> np.ndarray:
     """Determinant of a 4x4 matrix by expansion over complementary 2x2 minors.
 
@@ -285,42 +334,14 @@ def det4(m) -> np.ndarray:
     shape (..., 4, 4) and stays exact for integer or rational inputs.
     """
     m = np.asarray(m)
-    a0, a1, a2, a3 = m[..., 0, 0], m[..., 1, 0], m[..., 2, 0], m[..., 3, 0]
-    b0, b1, b2, b3 = m[..., 0, 1], m[..., 1, 1], m[..., 2, 1], m[..., 3, 1]
-    c0, c1, c2, c3 = m[..., 0, 2], m[..., 1, 2], m[..., 2, 2], m[..., 3, 2]
-    d0, d1, d2, d3 = m[..., 0, 3], m[..., 1, 3], m[..., 2, 3], m[..., 3, 3]
+    return _block_dets([[m[..., i, j] for j in range(4)] for i in range(4)])[3]
+
+
+def _det3(r) -> float:
     return (
-        (a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
-        - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
-        + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
-        + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
-        - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
-        + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0)
-    )
-
-
-def _det4_exact(rows) -> Fraction:
-    """det4 over a 4x4 nested list of Fractions; exact."""
-    d01 = rows[0][0] * rows[1][1] - rows[1][0] * rows[0][1]
-    d02 = rows[0][0] * rows[2][1] - rows[2][0] * rows[0][1]
-    d03 = rows[0][0] * rows[3][1] - rows[3][0] * rows[0][1]
-    d12 = rows[1][0] * rows[2][1] - rows[2][0] * rows[1][1]
-    d13 = rows[1][0] * rows[3][1] - rows[3][0] * rows[1][1]
-    d23 = rows[2][0] * rows[3][1] - rows[3][0] * rows[2][1]
-    c01 = rows[0][2] * rows[1][3] - rows[1][2] * rows[0][3]
-    c02 = rows[0][2] * rows[2][3] - rows[2][2] * rows[0][3]
-    c03 = rows[0][2] * rows[3][3] - rows[3][2] * rows[0][3]
-    c12 = rows[1][2] * rows[2][3] - rows[2][2] * rows[1][3]
-    c13 = rows[1][2] * rows[3][3] - rows[3][2] * rows[1][3]
-    c23 = rows[2][2] * rows[3][3] - rows[3][2] * rows[2][3]
-    return d01 * c23 - d02 * c13 + d03 * c12 + d12 * c03 - d13 * c02 + d23 * c01
-
-
-def _det3(m) -> float:
-    return (
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
+        r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
+        - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
+        + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
     )
 
 
@@ -332,24 +353,17 @@ def invariants(cm) -> Invariants:
 
     Returns:
         Invariants with det alpha, det beta, det gamma, det sigma and
-        delta = det alpha + det beta + 2 det gamma. The 2x2 blocks use the
-        exact cofactor formula; det sigma uses the minor expansion of `det4`.
+        delta = det alpha + det beta + 2 det gamma, all from the minor
+        expansion of `det4`.
 
     Raises:
         MalformedInputError: if the input is not a symmetric 4x4 matrix.
     """
-    m = as_covariance_matrix(cm).entries
-    det_alpha = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    det_beta = m[2, 2] * m[3, 3] - m[2, 3] * m[3, 2]
-    det_gamma = m[0, 2] * m[1, 3] - m[0, 3] * m[1, 2]
-    delta = det_alpha + det_beta + 2.0 * det_gamma
-    return Invariants(
-        det_alpha=float(det_alpha),
-        det_beta=float(det_beta),
-        det_gamma=float(det_gamma),
-        det_sigma=float(det4(m)),
-        delta=float(delta),
+    det_alpha, det_beta, det_gamma, det_sigma = _block_dets(
+        as_covariance_matrix(cm).entries.tolist()
     )
+    return Invariants(det_alpha, det_beta, det_gamma, det_sigma,
+                      det_alpha + det_beta + 2.0 * det_gamma)
 
 
 def symplectic_spectrum(inv: Invariants, transposed: bool = False) -> SymplecticSpectrum:
@@ -407,11 +421,9 @@ def is_physical(cm, tol: float | None = None) -> Diagnostic:
     scale = max(1.0, float(np.max(np.abs(m))))
     if float(np.max(np.abs(m - m.T))) > t * scale:
         return Diagnostic(False, "not symmetric")
-    minor1 = m[0, 0]
-    minor2 = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    minor3 = _det3(m)
-    det_sigma = float(det4(m))
-    if minor1 <= 0.0 or minor2 <= 0.0 or minor3 <= 0.0:
+    rows = m.tolist()
+    det_alpha, det_beta, det_gamma, det_sigma = _block_dets(rows)
+    if rows[0][0] <= 0.0 or det_alpha <= 0.0 or _det3(rows) <= 0.0:
         return Diagnostic(False, "not positive definite")
     if det_sigma <= 0.0:
         return Diagnostic(False, "det_sigma <= 0")
@@ -425,14 +437,31 @@ def is_physical(cm, tol: float | None = None) -> Diagnostic:
     # first order in eps.
     eigs = np.linalg.eigvalsh(m + 0.5j * OMEGA)
     if float(eigs[0]) < -t * max(1.0, float(np.abs(eigs).max())):
-        det_alpha = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        det_beta = m[2, 2] * m[3, 3] - m[2, 3] * m[3, 2]
-        det_gamma = m[0, 2] * m[1, 3] - m[0, 3] * m[1, 2]
         delta = det_alpha + det_beta + 2.0 * det_gamma
         rad = max(delta * delta - 4.0 * det_sigma, 0.0)
         n_minus = math.sqrt(2.0 * det_sigma / (delta + math.sqrt(rad)))
         return Diagnostic(False, f"n_minus = {n_minus:.12g} < 1/2")
     return Diagnostic(True, "physical")
+
+
+def _physical(cm, tol: float | None) -> CovarianceMatrix:
+    """`cm` as a CovarianceMatrix; UnphysicalStateError with the reason if `is_physical` fails."""
+    c = as_covariance_matrix(cm)
+    diag = is_physical(c, tol)
+    if not diag.ok:
+        raise UnphysicalStateError(diag.reason)
+    return c
+
+
+def _purities(m: np.ndarray) -> PurityPoint:
+    """`purities` of the entries of a matrix that passed `is_physical`."""
+    det_alpha, det_beta, det_gamma, det_sigma = _block_dets(m.tolist())
+    return PurityPoint(
+        mu1=1.0 / (2.0 * math.sqrt(det_alpha)),
+        mu2=1.0 / (2.0 * math.sqrt(det_beta)),
+        mu=1.0 / (4.0 * math.sqrt(det_sigma)),
+        delta=det_alpha + det_beta + 2.0 * det_gamma,
+    )
 
 
 def purities(cm, tol: float | None = None) -> PurityPoint:
@@ -444,43 +473,13 @@ def purities(cm, tol: float | None = None) -> PurityPoint:
     Raises:
         UnphysicalStateError: if `is_physical` fails (its reason is carried).
     """
-    c = as_covariance_matrix(cm)
-    diag = is_physical(c, tol)
-    if not diag.ok:
-        raise UnphysicalStateError(diag.reason)
-    inv = invariants(c)
-    return PurityPoint(
-        mu1=1.0 / (2.0 * math.sqrt(inv.det_alpha)),
-        mu2=1.0 / (2.0 * math.sqrt(inv.det_beta)),
-        mu=1.0 / (4.0 * math.sqrt(inv.det_sigma)),
-        delta=inv.delta,
-    )
+    return _purities(_physical(cm, tol).entries)
 
 
-def to_standard_form(cm, tol: float | None = None) -> StandardForm:
-    """Standard form (a, b, c_plus, c_minus) of a physical covariance matrix.
-
-    a and b are the square roots of the block determinants; c_plus and
-    c_minus solve c_plus c_minus = det gamma together with
-    ab (c_plus^2 + c_minus^2) = (ab)^2 + (det gamma)^2 - det sigma, oriented
-    so that c_plus >= |c_minus|. The determinants and the symmetric
-    quadratic are evaluated in exact rational arithmetic, converting to
-    float only at the final square roots; this keeps the round trip with
-    `from_standard_form` tight even when the correlations nearly vanish.
-
-    Raises:
-        MalformedInputError: non-symmetric input.
-        UnphysicalStateError: unphysical input or inconsistent invariants.
-    """
-    c = as_covariance_matrix(cm)
-    diag = is_physical(c, tol)
-    if not diag.ok:
-        raise UnphysicalStateError(diag.reason)
-    rows = [[Fraction(x) for x in row] for row in c.entries.tolist()]
-    det_alpha = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    det_beta = rows[2][2] * rows[3][3] - rows[2][3] * rows[3][2]
-    det_gamma = rows[0][2] * rows[1][3] - rows[0][3] * rows[1][2]
-    det_sigma = _det4_exact(rows)
+def _standard_form(m: np.ndarray) -> StandardForm:
+    """`to_standard_form` of the entries of a matrix that passed `is_physical`."""
+    rows = [[Fraction(x) for x in row] for row in m.tolist()]
+    det_alpha, det_beta, det_gamma, det_sigma = _block_dets(rows)
     ab_sq = det_alpha * det_beta
     # n_sum = ab (c+^2 + c-^2) and disc = (ab)^2 (c+^2 - c-^2)^2, both exact.
     n_sum = ab_sq + det_gamma * det_gamma - det_sigma
@@ -500,6 +499,24 @@ def to_standard_form(cm, tol: float | None = None) -> StandardForm:
     return StandardForm(a, b, c_plus, c_minus)
 
 
+def to_standard_form(cm, tol: float | None = None) -> StandardForm:
+    """Standard form (a, b, c_plus, c_minus) of a physical covariance matrix.
+
+    a and b are the square roots of the block determinants; c_plus and
+    c_minus solve c_plus c_minus = det gamma together with
+    ab (c_plus^2 + c_minus^2) = (ab)^2 + (det gamma)^2 - det sigma, oriented
+    so that c_plus >= |c_minus|. The determinants and the symmetric
+    quadratic are evaluated in exact rational arithmetic, converting to
+    float only at the final square roots; this keeps the round trip with
+    `from_standard_form` tight even when the correlations nearly vanish.
+
+    Raises:
+        MalformedInputError: non-symmetric input.
+        UnphysicalStateError: unphysical input or inconsistent invariants.
+    """
+    return _standard_form(_physical(cm, tol).entries)
+
+
 def from_standard_form(sf, tol: float | None = None) -> CovarianceMatrix:
     """Covariance matrix with blocks diag{a,a}, diag{b,b}, diag{c+, c-}.
 
@@ -510,11 +527,7 @@ def from_standard_form(sf, tol: float | None = None) -> CovarianceMatrix:
     """
     if not isinstance(sf, StandardForm):
         sf = StandardForm(*sf)
-    m = sf.matrix()
-    diag = is_physical(m, tol)
-    if not diag.ok:
-        raise UnphysicalStateError(diag.reason)
-    return CovarianceMatrix(m)
+    return _physical(sf, tol)
 
 
 def to_json(cm) -> str:

@@ -21,17 +21,14 @@ from enum import Enum
 import numpy as np
 
 from .core import (
-    CovarianceMatrix,
     PurityPoint,
-    StandardForm,
-    as_covariance_matrix,
+    _physical,
     invariants,
-    is_physical,
     resolve_tolerance,
     symplectic_spectrum,
 )
-from .errors import MalformedInputError, OutOfRegionError, UnphysicalStateError
-from .param import delta_bounds, require_valid_purities
+from .errors import MalformedInputError, OutOfRegionError
+from .param import _delta_range, require_valid_purities
 
 __all__ = [
     "RegionLabel",
@@ -47,10 +44,6 @@ __all__ = [
     "delta_monotonicity_check",
     "analytic_delta_slope",
 ]
-
-# Relative clamp window for radicands pinched at zero by round-off.
-_RADICAND_SLACK = 1e-12
-
 
 class RegionLabel(str, Enum):
     """Classification of a purity triple by its entanglement possibilities."""
@@ -100,22 +93,6 @@ def _ppt_nmin_sq(mu1, mu2, mu, delta):
     return 0.5 * k / (delta_tilde + np.sqrt(rad))
 
 
-def _require_delta(p: PurityPoint) -> float:
-    if p.delta is None:
-        raise MalformedInputError("purity point carries no delta")
-    return p.delta
-
-
-def _check_delta_in_bounds(p: PurityPoint, tol: float) -> float:
-    delta = _require_delta(p)
-    delta_min, delta_max = delta_bounds(p.mu1, p.mu2, p.mu, tol)
-    if delta < delta_min - tol or delta > delta_max + tol:
-        raise OutOfRegionError(
-            f"delta = {delta:.12g} lies outside [{delta_min:.12g}, {delta_max:.12g}]"
-        )
-    return delta
-
-
 def ppt_smallest_eigenvalue(p: PurityPoint, tol: float | None = None) -> float:
     """Smallest symplectic eigenvalue of the partially transposed state.
 
@@ -125,27 +102,19 @@ def ppt_smallest_eigenvalue(p: PurityPoint, tol: float | None = None) -> float:
 
     Returns:
         n_tilde_minus > 0 solving
-        2 n^2 = delta_tilde - sqrt(delta_tilde^2 - 1/(4 mu^2)).
+        2 n^2 = delta_tilde - sqrt(delta_tilde^2 - 1/(4 mu^2)). The radicand
+        is clamped at 0: it vanishes at delta_max on the uncertainty branch,
+        and a delta inside the tolerance band above delta_max turns it
+        slightly negative. The range check keeps delta_tilde >= 1/(2 mu) - tol.
 
     Raises:
         MalformedInputError: p carries no delta.
         OutOfRegionError: delta outside the valid range for these purities.
     """
-    t = resolve_tolerance(tol)
-    delta = _check_delta_in_bounds(p, t)
+    delta = _delta_range(p, resolve_tolerance(tol))[0]
     delta_tilde = -delta + 0.5 / (p.mu1 * p.mu1) + 0.5 / (p.mu2 * p.mu2)
-    if delta_tilde <= 0.0:
-        raise UnphysicalStateError(
-            f"partial-transpose seralian must be positive, got {delta_tilde:.12g}"
-        )
     k = 0.25 / (p.mu * p.mu)
-    rad = delta_tilde * delta_tilde - k
-    if rad < 0.0:
-        if rad < -_RADICAND_SLACK * (delta_tilde * delta_tilde + k):
-            raise UnphysicalStateError(
-                "partial transpose admits no real symplectic spectrum"
-            )
-        rad = 0.0
+    rad = max(delta_tilde * delta_tilde - k, 0.0)
     return math.sqrt(0.5 * k / (delta_tilde + math.sqrt(rad)))
 
 
@@ -183,10 +152,7 @@ def is_separable(state, tol: float | None = None) -> bool:
     if isinstance(state, PurityPoint):
         n = ppt_smallest_eigenvalue(state, t)
     else:
-        cm = as_covariance_matrix(state)
-        diag = is_physical(cm, t)
-        if not diag.ok:
-            raise UnphysicalStateError(diag.reason)
+        cm = _physical(state, t)
         n = symplectic_spectrum(invariants(cm), transposed=True).n_minus
     return n >= 0.5 - t
 
@@ -241,7 +207,19 @@ def classify(mu1, mu2, mu, tol: float | None = None) -> RegionLabel:
     """
     t = resolve_tolerance(tol)
     m1, m2, m = require_valid_purities(mu1, mu2, mu, t)
-    return _REGIONS[int(region_code(float(m1), float(m2), float(m), t))]
+    return _REGIONS[int(region_code(m1, m2, m, t))]
+
+
+def _slope(p: PurityPoint, delta: float) -> float:
+    """`analytic_delta_slope` at a delta already checked against its range."""
+    delta_tilde = -delta + 0.5 / (p.mu1 * p.mu1) + 0.5 / (p.mu2 * p.mu2)
+    k = 0.25 / (p.mu * p.mu)
+    rad = delta_tilde * delta_tilde - k
+    if rad <= 0.0:
+        raise OutOfRegionError(
+            "partial-transpose spectrum is degenerate; the slope diverges"
+        )
+    return 0.5 * (delta_tilde / math.sqrt(rad) - 1.0)
 
 
 def analytic_delta_slope(p: PurityPoint, tol: float | None = None) -> float:
@@ -256,16 +234,7 @@ def analytic_delta_slope(p: PurityPoint, tol: float | None = None) -> float:
         OutOfRegionError: delta outside bounds, or a degenerate
             partial-transpose spectrum (the slope diverges there).
     """
-    t = resolve_tolerance(tol)
-    delta = _check_delta_in_bounds(p, t)
-    delta_tilde = -delta + 0.5 / (p.mu1 * p.mu1) + 0.5 / (p.mu2 * p.mu2)
-    k = 0.25 / (p.mu * p.mu)
-    rad = delta_tilde * delta_tilde - k
-    if rad <= 0.0:
-        raise OutOfRegionError(
-            "partial-transpose spectrum is degenerate; the slope diverges"
-        )
-    return 0.5 * (delta_tilde / math.sqrt(rad) - 1.0)
+    return _slope(p, _delta_range(p, resolve_tolerance(tol))[0])
 
 
 def delta_monotonicity_check(p: PurityPoint, h: float, tol: float | None = None) -> SlopeCheck:
@@ -296,11 +265,10 @@ def delta_monotonicity_check(p: PurityPoint, h: float, tol: float | None = None)
         raise MalformedInputError(f"step must be a real number, got {h!r}") from exc
     if not math.isfinite(step) or step <= 0.0:
         raise MalformedInputError(f"step must be positive, got {step!r}")
-    delta = _check_delta_in_bounds(p, t)
-    delta_min, delta_max = delta_bounds(p.mu1, p.mu2, p.mu, t)
+    delta, delta_min, delta_max = _delta_range(p, t)
     if delta - step < delta_min - t or delta + step > delta_max + t:
         raise OutOfRegionError("finite-difference step exits the valid delta range")
-    analytic = analytic_delta_slope(p, t)
+    analytic = _slope(p, delta)
     f_plus = float(_ppt_nmin_sq(p.mu1, p.mu2, p.mu, delta + step))
     f_minus = float(_ppt_nmin_sq(p.mu1, p.mu2, p.mu, delta - step))
     return SlopeCheck(

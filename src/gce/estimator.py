@@ -145,9 +145,8 @@ def estimate(mu1, mu2, mu, tol: float | None = None) -> EstimateResult:
         OutOfRegionError: purity constraints violated.
     """
     t = resolve_tolerance(tol)
-    m1, m2, m = require_valid_purities(mu1, mu2, mu, t)
     # Python floats round as 0-d arrays do, at a fraction of numpy's dispatch cost.
-    region, lo, hi, avg, rel = estimate_arrays(float(m1), float(m2), float(m), t)
+    region, lo, hi, avg, rel = estimate_arrays(*require_valid_purities(mu1, mu2, mu, t), t)
     return EstimateResult(
         en_max=float(hi),
         en_min=float(lo),

@@ -84,7 +84,6 @@ def gmems(mu1, mu2, mu, tol: float | None = None) -> StandardForm:
         OutOfRegionError: purity constraints violated.
     """
     m1, m2, m = require_valid_purities(mu1, mu2, mu, tol)
-    m1, m2, m = float(m1), float(m2), float(m)
     rad = 1.0 / (m1 * m2) - 1.0 / m
     # Same hazard as in glems: a square root amplifies the ~eps*scale float
     # noise of a vanishing radicand into ~1e-8 spurious correlations.
@@ -106,7 +105,6 @@ def glems(mu1, mu2, mu, tol: float | None = None) -> StandardForm:
         OutOfRegionError: purity constraints violated.
     """
     m1, m2, m = require_valid_purities(mu1, mu2, mu, tol)
-    m1, m2, m = float(m1), float(m2), float(m)
     delta_min = _delta_min(m1, m2, m)
     delta_b, delta_h = _delta_branches(m1, m2, m)
     delta_max = min(delta_b, delta_h)
@@ -140,7 +138,6 @@ def glems_closed_form(mu1, mu2, mu, tol: float | None = None) -> StandardForm:
     """
     t = resolve_tolerance(tol)
     m1, m2, m = require_valid_purities(mu1, mu2, mu, t)
-    m1, m2, m = float(m1), float(m2), float(m)
     delta_b, delta_h = _delta_branches(m1, m2, m)
     if delta_h > delta_b + t:
         raise InactiveBranchError(

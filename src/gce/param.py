@@ -18,11 +18,12 @@ from .core import (
     Diagnostic,
     PurityPoint,
     StandardForm,
+    _physical,
     _purity_error,
-    is_physical,
+    purity_masks,
     resolve_tolerance,
 )
-from .errors import MalformedInputError, OutOfRegionError, UnphysicalStateError
+from .errors import MalformedInputError, OutOfRegionError
 
 __all__ = [
     "PurityPoint",
@@ -37,30 +38,6 @@ __all__ = [
     "purity_to_json",
     "purity_from_json",
 ]
-
-
-def purity_masks(mu1, mu2, mu, tol: float):
-    """Domain and strip tests of purity triples; never raises or warns.
-
-    Returns (in_domain, accepted). in_domain holds where every purity lies in
-    [PURITY_FLOOR, 1 + tol]; accepted holds where, in addition,
-    mu1*mu2 - tol <= mu <= mu1*mu2 / (mu1*mu2 + |mu1 - mu2|) + tol.
-
-    Takes Python floats, giving bools, or broadcastable float arrays, giving
-    bool arrays. Entries outside the domain may overflow or turn nan on the
-    way to their False verdict, so numpy's floating-point warnings are off.
-    """
-    top = 1.0 + tol
-    in_domain = ((mu1 >= PURITY_FLOOR) & (mu1 <= top) & (mu2 >= PURITY_FLOOR)
-                 & (mu2 <= top) & (mu >= PURITY_FLOOR) & (mu <= top))
-    with np.errstate(all="ignore"):
-        lower = mu1 * mu2
-        span = lower + abs(mu1 - mu2)
-        # In the domain span >= mu1*mu2 >= 1e-60, where adding 1e-300 changes
-        # no bit; outside it span may be 0, and this keeps a Python float
-        # clear of ZeroDivisionError.
-        upper = lower / (span + 1e-300)
-        return in_domain, in_domain & (mu >= lower - tol) & (mu <= upper + tol)
 
 
 def check_purity_constraints(mu1, mu2, mu, tol: float | None = None) -> Diagnostic:
@@ -80,9 +57,10 @@ def check_purity_constraints(mu1, mu2, mu, tol: float | None = None) -> Diagnost
 
 
 def require_valid_purities(mu1, mu2, mu, tol: float | None = None):
-    """Validate purities (scalar or array) and return them as float arrays.
+    """Validate purities and return them as Python floats or float arrays.
 
-    The verdict is `purity_masks`.
+    Three scalars come back as three Python floats, anything else as
+    broadcast float arrays. The verdict is `purity_masks`.
 
     Raises:
         MalformedInputError: non-numeric or non-finite entries, or purities
@@ -103,7 +81,7 @@ def require_valid_purities(mu1, mu2, mu, tol: float | None = None):
         values = float(m1), float(m2), float(m)
         if not purity_masks(*values, t)[1]:
             raise _purity_error(*values, t)
-        return m1, m2, m
+        return values
     in_domain, accepted = purity_masks(m1, m2, m, t)
     if not np.all(in_domain):
         raise MalformedInputError(
@@ -153,9 +131,7 @@ def purity_point(sf: StandardForm, tol: float | None = None) -> PurityPoint:
     """
     if not isinstance(sf, StandardForm):
         sf = StandardForm(*sf)
-    diag = is_physical(sf, tol)
-    if not diag.ok:
-        raise UnphysicalStateError(diag.reason)
+    _physical(sf, tol)
     mu1, mu2, mu, delta = purity_arrays(sf.a, sf.b, sf.c_plus, sf.c_minus)
     return PurityPoint(mu1=float(mu1), mu2=float(mu2), mu=float(mu), delta=float(delta))
 
@@ -193,11 +169,29 @@ def delta_bounds(mu1, mu2, mu, tol: float | None = None):
         OutOfRegionError: purity constraints violated.
     """
     m1, m2, m = require_valid_purities(mu1, mu2, mu, tol)
-    if m.ndim == 0:
-        # Python floats round as 0-d arrays do, at a fraction of the cost.
-        m1, m2, m = float(m1), float(m2), float(m)
-        return _delta_min(m1, m2, m), min(_delta_branches(m1, m2, m))
-    return _delta_min(m1, m2, m), np.minimum(*_delta_branches(m1, m2, m))
+    # min keeps a scalar result a Python float, as np.minimum would not.
+    upper = min if isinstance(m, float) else np.minimum
+    return _delta_min(m1, m2, m), upper(*_delta_branches(m1, m2, m))
+
+
+def _delta_range(p: PurityPoint, tol: float):
+    """(delta, delta_min, delta_max) of a point whose delta lies in its range.
+
+    The range is [delta_min - tol, delta_max + tol] from `delta_bounds`,
+    compared absolutely.
+
+    Raises:
+        MalformedInputError: p carries no delta, or purities are malformed.
+        OutOfRegionError: purity constraints violated, or delta outside the range.
+    """
+    if p.delta is None:
+        raise MalformedInputError("delta is required: the purity point carries no delta")
+    delta_min, delta_max = delta_bounds(p.mu1, p.mu2, p.mu, tol)
+    if not delta_min - tol <= p.delta <= delta_max + tol:
+        side = "below delta_min" if p.delta < delta_min - tol else "above delta_max"
+        raise OutOfRegionError(f"delta = {p.delta:.12g} lies outside "
+                               f"[{delta_min:.12g}, {delta_max:.12g}], {side}")
+    return p.delta, delta_min, delta_max
 
 
 def inversion_arrays(mu1, mu2, mu, delta):
@@ -240,19 +234,8 @@ def standard_form_from_purities(p: PurityPoint, tol: float | None = None) -> Sta
         OutOfRegionError: purity constraints violated, or delta outside
             [delta_min - tol, delta_max + tol] (absolute comparison).
     """
-    t = resolve_tolerance(tol)
-    if p.delta is None:
-        raise MalformedInputError("delta is required to reconstruct a standard form")
-    delta_min, delta_max = delta_bounds(p.mu1, p.mu2, p.mu, t)
-    if p.delta < delta_min - t:
-        raise OutOfRegionError(
-            f"delta = {p.delta:.12g} lies below delta_min = {delta_min:.12g}"
-        )
-    if p.delta > delta_max + t:
-        raise OutOfRegionError(
-            f"delta = {p.delta:.12g} lies above delta_max = {delta_max:.12g}"
-        )
-    a, b, c_plus, c_minus = inversion_arrays(p.mu1, p.mu2, p.mu, p.delta)
+    delta = _delta_range(p, resolve_tolerance(tol))[0]
+    a, b, c_plus, c_minus = inversion_arrays(p.mu1, p.mu2, p.mu, delta)
     return StandardForm(float(a), float(b), float(c_plus), float(c_minus))
 
 

@@ -155,6 +155,25 @@ class TestAnalyze:
         assert payload["containment"] == "ok"
         assert payload["region"] == "entangled"
 
+    def test_checks_physicality_once_per_matrix(self, monkeypatch):
+        # purities and standard form both read the one checked matrix.
+        original = gce.core.is_physical
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (gce, gce.core, gce.param, gce.entangle, gce.estimator,
+                       gce.extremal, oracle, cli):
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, counting)
+        paths = sorted((pathlib.Path(__file__).parent / "data" / "analyze").glob("*.json"))
+        for path in paths:
+            cli.run_analyze(str(path))
+        assert len(calls) == len(paths) > 0
+
     def test_missing_file_exits_1(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "nope.json")]) == 1
         assert "error:" in capsys.readouterr().err
@@ -272,8 +291,8 @@ class TestValidate:
         assert set(payload) == {"bounds"}
 
     def test_violations_exit_1(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "validate_bounds",
-                            lambda cfg: {"total_violations": 3})
+        monkeypatch.setattr(cli, "_validate_batch",
+                            lambda cfg, batch: {"total_violations": 3})
         assert main(["validate", "--check", "bounds"]) == 1
 
     def test_all_checks_sample_once(self, capsys, monkeypatch):

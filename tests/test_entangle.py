@@ -54,6 +54,14 @@ class TestPptSmallestEigenvalue:
         with pytest.raises(OutOfRegionError, match="lies outside"):
             ppt_smallest_eigenvalue(PurityPoint(0.5, 0.5, 0.6, 2.0))
 
+    def test_delta_inside_the_tolerance_band_above_delta_max(self):
+        # The radicand turns slightly negative past delta_max; the range
+        # check accepts the delta, so the eigenvalue must not raise.
+        delta_max = delta_bounds(0.5, 0.5, 0.3)[1]
+        at_edge = ppt_smallest_eigenvalue(PurityPoint(0.5, 0.5, 0.3, delta_max))
+        inside_band = ppt_smallest_eigenvalue(PurityPoint(0.5, 0.5, 0.3, delta_max + 5e-10))
+        assert inside_band == pytest.approx(at_edge, abs=1e-4)
+
     @given(physical_standard_forms())
     def test_matches_matrix_spectrum(self, sf):
         p = purity_point(sf)

@@ -1,9 +1,15 @@
 """CLI output pinned byte for byte against committed files in tests/data.
 
 The files hold the `gce sweep`, `classify --json` and `bounds --json` output
-for the fixed inputs below. A refactor that keeps every formula must keep
-these bytes; a change that alters a printed digit must say why and
-regenerate the files, from the repository root, with
+for the fixed inputs below, and the `gce analyze` output (text, `--json` and
+`--log-base 2`) for each covariance matrix stored in tests/data/analyze.
+Those matrices are fixed inputs, not regenerated: twelve lie outside
+standard form, two are near-pure, one is pure, and four carry correlations
+of 1e-12 or 1e-8, where the exact standard-form arithmetic matters.
+
+A refactor that keeps every formula must keep these bytes; a change that
+alters a printed digit must say why and regenerate the output files, from
+the repository root, with
 
     PYTHONPATH=src python -m tests.test_golden_output
 """
@@ -61,10 +67,21 @@ def _points_text():
     return "".join(blocks)
 
 
+def _analyze_text():
+    blocks = []
+    for path in sorted((DATA / "analyze").glob("*.json")):
+        for extra in ([], ["--json"], ["--log-base", "2"]):
+            argv = ["analyze", str(path), *extra]
+            shown = ["analyze", f"analyze/{path.name}", *extra]
+            blocks.append("$ gce " + " ".join(shown) + "\n" + _run(argv))
+    return "".join(blocks)
+
+
 OUTPUTS = {
     "sweep_e.csv": lambda: _run(SWEEP_ARGS),
     "sweep_2.csv": lambda: _run(SWEEP_ARGS + ["--log-base", "2"]),
     "points.txt": _points_text,
+    "analyze.txt": _analyze_text,
 }
 
 

@@ -11,6 +11,7 @@ from gce.core import (
     PURITY_FLOOR,
     PurityPoint,
     StandardForm,
+    default_tolerance,
     invariants,
     symplectic_spectrum,
 )
@@ -145,6 +146,11 @@ class TestRequireValidPurities:
                 np.array([0.5, 2.0]), np.array([0.5, 0.5]), np.array([0.3, 0.3])
             )
 
+    def test_scalar_triple_comes_back_as_python_floats(self):
+        values = require_valid_purities(0.5, 0.5, 0.3)
+        assert values == (0.5, 0.5, 0.3)
+        assert [type(v) for v in values] == [float, float, float]
+
     def test_passes_silently(self):
         require_valid_purities(0.5, 0.5, 0.3)
         require_valid_purities(np.array([0.5, 1.0]), np.array([0.5, 1.0]),
@@ -208,6 +214,21 @@ class TestPurityPoint:
         inv = invariants(sf)
         assert p.mu == pytest.approx(1.0 / (4.0 * math.sqrt(inv.det_sigma)), rel=1e-12)
         assert p.delta == pytest.approx(inv.delta, rel=1e-12)
+
+    @pytest.mark.parametrize("mu1, mu2", [(0.5, 0.4), (0.8, 0.4), (0.3, 0.9)])
+    def test_construction_accepts_the_strip_within_eight_tolerances(self, mu1, mu2):
+        tol = 8.0 * default_tolerance()
+        lower = mu1 * mu2
+        upper = lower / (lower + abs(mu1 - mu2))
+        for mu in (lower - tol + 1e-12, lower, upper, upper + tol - 1e-12):
+            PurityPoint(mu1, mu2, mu)
+        for mu, rule in ((lower - tol - 1e-12, "mu >= mu1\\*mu2"),
+                         (upper + tol + 1e-12, "mu <= mu1\\*mu2/")):
+            with pytest.raises(OutOfRegionError, match=rule):
+                PurityPoint(mu1, mu2, mu)
+        PurityPoint(1.0 + tol - 1e-12, 1.0, 1.0)
+        with pytest.raises(MalformedInputError, match="outside"):
+            PurityPoint(1.0 + tol + 1e-12, 1.0, 1.0)
 
     def test_rejects_unphysical_entries(self):
         from gce.errors import UnphysicalStateError
