@@ -69,34 +69,32 @@ _RADICAND_SLACK = 1e-12
 PURITY_FLOOR = 1e-30
 
 
+def _checked_tolerance(name: str, value) -> float:
+    """The one tolerance rule, for GCE_TOLERANCE, `tol` and `SampleConfig.tolerance`."""
+    t = _as_float(name, value, ConfigurationError)
+    if t <= 0.0:
+        raise ConfigurationError(f"{name} must be positive, got {value!r}")
+    return t
+
+
 def default_tolerance() -> float:
     """Default numerical tolerance (1e-9), overridable via GCE_TOLERANCE."""
     raw = os.environ.get("GCE_TOLERANCE")
-    if raw is None:
-        return 1e-9
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ConfigurationError(f"GCE_TOLERANCE is not a number: {raw!r}") from exc
-    if not math.isfinite(value) or value <= 0.0:
-        raise ConfigurationError(
-            f"GCE_TOLERANCE must be a positive finite number, got {raw!r}"
-        )
-    return value
+    return 1e-9 if raw is None else _checked_tolerance("GCE_TOLERANCE", raw)
 
 
 def resolve_tolerance(tol: float | None) -> float:
-    """Return `tol` as a float, or the default tolerance when None."""
-    return default_tolerance() if tol is None else float(tol)
+    """Return `tol` as a positive finite float, or the default tolerance when None."""
+    return default_tolerance() if tol is None else _checked_tolerance("tol", tol)
 
 
-def _as_float(name: str, value) -> float:
+def _as_float(name: str, value, error: type[GceError] = MalformedInputError) -> float:
     try:
         out = float(value)
     except (TypeError, ValueError) as exc:
-        raise MalformedInputError(f"{name} must be a real number, got {value!r}") from exc
+        raise error(f"{name} must be a real number, got {value!r}") from exc
     if not math.isfinite(out):
-        raise MalformedInputError(f"{name} must be finite, got {out!r}")
+        raise error(f"{name} must be finite, got {out!r}")
     return out
 
 

@@ -109,10 +109,13 @@ def ppt_smallest_eigenvalue(p: PurityPoint, tol: float | None = None) -> float:
 
     Raises:
         MalformedInputError: p carries no delta.
-        OutOfRegionError: delta outside the valid range for these purities.
+        OutOfRegionError: delta outside the valid range for these purities,
+            or delta_tilde <= 0, which a tol >= 1/(2 mu) lets through.
     """
     delta = _delta_range(p, resolve_tolerance(tol))[0]
     delta_tilde = -delta + 0.5 / (p.mu1 * p.mu1) + 0.5 / (p.mu2 * p.mu2)
+    if delta_tilde <= 0.0:
+        raise OutOfRegionError(f"delta = {delta:.12g} gives delta_tilde = {delta_tilde:.12g} <= 0")
     k = 0.25 / (p.mu * p.mu)
     rad = max(delta_tilde * delta_tilde - k, 0.0)
     return math.sqrt(0.5 * k / (delta_tilde + math.sqrt(rad)))
@@ -157,36 +160,44 @@ def is_separable(state, tol: float | None = None) -> bool:
     return n >= 0.5 - t
 
 
+def _separable_threshold(m1, m2):
+    """`separable_threshold` of floats or float arrays; no coercion."""
+    return m1 * m2 / (m1 + m2 - m1 * m2)
+
+
+def _coexistence_threshold(m1, m2):
+    """`coexistence_threshold` of floats or float arrays; no coercion."""
+    return m1 * m2 / np.sqrt(m1 * m1 + m2 * m2 - m1 * m1 * m2 * m2)
+
+
 def separable_threshold(mu1, mu2):
     """Largest global purity at which no state with these marginals is entangled."""
-    m1 = np.asarray(mu1, dtype=float)
-    m2 = np.asarray(mu2, dtype=float)
-    out = m1 * m2 / (m1 + m2 - m1 * m2)
+    out = _separable_threshold(np.asarray(mu1, dtype=float), np.asarray(mu2, dtype=float))
     return float(out) if out.ndim == 0 else out
 
 
 def coexistence_threshold(mu1, mu2):
     """Largest global purity at which separable states with these marginals exist."""
-    m1 = np.asarray(mu1, dtype=float)
-    m2 = np.asarray(mu2, dtype=float)
-    out = m1 * m2 / np.sqrt(m1 * m1 + m2 * m2 - m1 * m1 * m2 * m2)
+    out = _coexistence_threshold(np.asarray(mu1, dtype=float), np.asarray(mu2, dtype=float))
     return float(out) if out.ndim == 0 else out
+
+
+def _region_code(m1, m2, m, t):
+    """`region_code` of floats (an integer) or float arrays; no coercion. A nan purity gives 2."""
+    return (1 - (m <= _separable_threshold(m1, m2) + t)) * (
+        2 - (m <= _coexistence_threshold(m1, m2) + t))
 
 
 def region_code(mu1, mu2, mu, tol: float | None = None):
     """Vectorized region index: 0 separable, 1 coexistence, 2 entangled.
 
     Boundaries are closed on the lower region within `tol`. No constraint
-    validation; intended for trusted bulk data.
+    validation; intended for trusted bulk data. Scalars give an int, arrays
+    an int array of their broadcast shape.
     """
-    t = resolve_tolerance(tol)
-    m1 = np.asarray(mu1, dtype=float)
-    m2 = np.asarray(mu2, dtype=float)
-    m = np.asarray(mu, dtype=float)
-    code = np.full(np.broadcast(m1, m2, m).shape, 2, dtype=int)
-    code = np.where(m <= coexistence_threshold(m1, m2) + t, 1, code)
-    code = np.where(m <= separable_threshold(m1, m2) + t, 0, code)
-    return code
+    code = _region_code(np.asarray(mu1, dtype=float), np.asarray(mu2, dtype=float),
+                        np.asarray(mu, dtype=float), resolve_tolerance(tol))
+    return int(code) if code.ndim == 0 else code
 
 
 _REGIONS = (RegionLabel.SEPARABLE, RegionLabel.COEXISTENCE, RegionLabel.ENTANGLED)
@@ -206,8 +217,7 @@ def classify(mu1, mu2, mu, tol: float | None = None) -> RegionLabel:
         OutOfRegionError: purity constraints violated.
     """
     t = resolve_tolerance(tol)
-    m1, m2, m = require_valid_purities(mu1, mu2, mu, t)
-    return _REGIONS[int(region_code(m1, m2, m, t))]
+    return _REGIONS[_region_code(*require_valid_purities(mu1, mu2, mu, t), t)]
 
 
 def _slope(p: PurityPoint, delta: float) -> float:

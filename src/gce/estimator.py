@@ -20,9 +20,9 @@ from .entangle import (
     EntanglementReport,
     RegionLabel,
     _ppt_nmin_sq,
+    _region_code,
     log_negativity,
     ppt_smallest_eigenvalue,
-    region_code,
 )
 from .param import _delta_min, require_valid_purities
 
@@ -69,19 +69,14 @@ def _en_min_core(m1, m2, m):
     uncertainty branch is inactive and the least entangled state is
     separable, so the bound is 0.
     """
-    m1 = np.asarray(m1, dtype=float)
-    m2 = np.asarray(m2, dtype=float)
-    m = np.asarray(m, dtype=float)
     inv_mu_sq = 1.0 / (m * m)
     s = 1.0 / (m1 * m1) + 1.0 / (m2 * m2) - 0.5 * inv_mu_sq - 0.5
     rad = s * s - inv_mu_sq
     active = (s > 0.0) & (rad >= 0.0)
-    safe_s = np.where(active, s, 1.0)
-    safe_rad = np.where(active, rad, 0.0)
-    bracket = np.where(
-        active, inv_mu_sq / (safe_s + np.sqrt(safe_rad)), 1.0
-    )
-    return np.where(active, np.maximum(0.0, -0.5 * np.log(bracket)), 0.0) + 0.0
+    # Inactive entries divide by 1 and are zeroed by the mask. 1.0 - active,
+    # not ~active, because ~True is -2.
+    denom = s * active + (1.0 - active) + np.sqrt(rad * active)
+    return np.maximum(0.0, -0.5 * np.log(inv_mu_sq / denom)) * active + 0.0
 
 
 def en_max(mu1, mu2, mu, tol: float | None = None):
@@ -122,13 +117,19 @@ def en_min(mu1, mu2, mu, tol: float | None = None):
     return float(out) if out.ndim == 0 else out
 
 
+def _relative_error(hi, lo):
+    """`relative_error` of floats or float arrays; no coercion.
+
+    A nonpositive total divides a plain 0.0 by 1.
+    """
+    total = hi + lo
+    positive = total > 0.0
+    return ((hi - lo) * positive + 0.0) / (total * positive + (total <= 0.0))
+
+
 def relative_error(upper, lower):
     """Relative half-spread (upper - lower)/(upper + lower), 0 when both vanish."""
-    hi = np.asarray(upper, dtype=float)
-    lo = np.asarray(lower, dtype=float)
-    total = hi + lo
-    safe = np.where(total > 0.0, total, 1.0)
-    out = np.where(total > 0.0, (hi - lo) / safe, 0.0)
+    out = _relative_error(np.asarray(upper, dtype=float), np.asarray(lower, dtype=float))
     return float(out) if out.ndim == 0 else out
 
 
@@ -151,8 +152,8 @@ def estimate(mu1, mu2, mu, tol: float | None = None) -> EstimateResult:
         en_max=float(hi),
         en_min=float(lo),
         en_avg=float(avg),
-        rel_err=rel,
-        region=_REGIONS[int(region)],
+        rel_err=float(rel),
+        region=_REGIONS[region],
     )
 
 
@@ -168,12 +169,11 @@ def estimate_arrays(mu1, mu2, mu, tol: float):
     rounding-level residue. Callers validate first, for example with
     `param.purity_masks`.
     """
-    region = region_code(mu1, mu2, mu, tol)
+    region = _region_code(mu1, mu2, mu, tol)
     hi = _en_max_core(mu1, mu2, mu)
-    lo = np.minimum(_en_min_core(mu1, mu2, mu), hi)
-    hi = np.where(region == 0, 0.0, hi)
-    lo = np.where(region == 2, lo, 0.0)
-    return region, lo, hi, 0.5 * (hi + lo), relative_error(hi, lo)
+    lo = np.minimum(_en_min_core(mu1, mu2, mu), hi) * (region == 2)
+    hi = hi * (region != 0)
+    return region, lo, hi, 0.5 * (hi + lo), _relative_error(hi, lo)
 
 
 def entanglement_report(p: PurityPoint, tol: float | None = None) -> EntanglementReport:

@@ -10,14 +10,13 @@ across runs for a fixed seed.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StandardForm, resolve_tolerance
-from .entangle import coexistence_threshold, separable_threshold
+from .core import StandardForm, _as_float, _checked_tolerance, resolve_tolerance
+from .entangle import _coexistence_threshold, _separable_threshold
 from .errors import ConfigurationError
 from .estimator import _en_max_core, _en_min_core
 from .param import _delta_branches, _delta_min, inversion_arrays, purity_arrays
@@ -57,25 +56,12 @@ class SampleConfig:
             raise ConfigurationError(f"count must be an integer, got {self.count!r}")
         if self.count <= 0:
             raise ConfigurationError(f"count must be positive, got {self.count!r}")
-        try:
-            a_max = float(self.a_max)
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"a_max must be a real number, got {self.a_max!r}") from exc
-        if not math.isfinite(a_max) or a_max <= 0.5:
+        a_max = _as_float("a_max", self.a_max, ConfigurationError)
+        if a_max <= 0.5:
             raise ConfigurationError(f"a_max must exceed 1/2, got {self.a_max!r}")
         object.__setattr__(self, "a_max", a_max)
         if self.tolerance is not None:
-            try:
-                tol = float(self.tolerance)
-            except (TypeError, ValueError) as exc:
-                raise ConfigurationError(
-                    f"tolerance must be a real number, got {self.tolerance!r}"
-                ) from exc
-            if not math.isfinite(tol) or tol <= 0.0:
-                raise ConfigurationError(
-                    f"tolerance must be positive, got {self.tolerance!r}"
-                )
-            object.__setattr__(self, "tolerance", tol)
+            object.__setattr__(self, "tolerance", _checked_tolerance("tolerance", self.tolerance))
 
 
 @dataclass(frozen=True)
@@ -214,8 +200,8 @@ def _validate_batch(cfg: SampleConfig, batch: SampleBatch) -> dict:
     contain_lower = en - en_lo
     contain_upper = en_hi - en
 
-    sep_mask = mu <= separable_threshold(mu1, mu2) - tol
-    ent_mask = mu > coexistence_threshold(mu1, mu2) + tol
+    sep_mask = mu <= _separable_threshold(mu1, mu2) - tol
+    ent_mask = mu > _coexistence_threshold(mu1, mu2) + tol
     sep_margin = n_tilde[sep_mask] - 0.5
     ent_margin = 0.5 - n_tilde[ent_mask]
 

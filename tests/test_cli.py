@@ -328,6 +328,11 @@ class TestUsage:
             main(["classify", "--mu1", "0.5"])
         assert info.value.code == 2
 
+    def test_bad_tolerance_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("GCE_TOLERANCE", "-1")
+        assert main(["classify", "--mu1", "0.5", "--mu2", "0.5", "--mu", "0.6"]) == 2
+        assert "GCE_TOLERANCE" in capsys.readouterr().err
+
 
 CLASSIFY_ARGS = ["classify", "--mu1", "0.5", "--mu2", "0.5", "--mu", "0.6"]
 

@@ -17,6 +17,7 @@ from gce.core import (
     invariants,
     is_physical,
     purities,
+    resolve_tolerance,
     symplectic_spectrum,
     to_json,
     to_standard_form,
@@ -26,6 +27,7 @@ from gce.errors import (
     MalformedInputError,
     UnphysicalStateError,
 )
+from gce.estimator import estimate
 
 from .helpers import local_symplectic, physical_standard_forms, transform
 
@@ -332,8 +334,19 @@ class TestTolerance:
         monkeypatch.setenv("GCE_TOLERANCE", "1e-6")
         assert default_tolerance() == 1e-6
 
-    @pytest.mark.parametrize("value", ["abc", "-1e-9", "0", "inf"])
+    @pytest.mark.parametrize("value", ["abc", "-1e-9", "0", "inf", "nan"])
     def test_rejects_bad_env(self, monkeypatch, value):
         monkeypatch.setenv("GCE_TOLERANCE", value)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="GCE_TOLERANCE"):
             default_tolerance()
+
+    @pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf, "abc"])
+    def test_rejects_bad_explicit_tol(self, value):
+        # the error names tol, not a purity that lies inside (0, 1]
+        with pytest.raises(ConfigurationError, match="^tol "):
+            resolve_tolerance(value)
+        with pytest.raises(ConfigurationError, match="^tol "):
+            estimate(0.5, 0.5, 0.3, tol=value)
+
+    def test_explicit_tol_comes_back_as_float(self):
+        assert resolve_tolerance("1e-6") == 1e-6 and type(resolve_tolerance(1)) is float

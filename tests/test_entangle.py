@@ -62,6 +62,12 @@ class TestPptSmallestEigenvalue:
         inside_band = ppt_smallest_eigenvalue(PurityPoint(0.5, 0.5, 0.3, delta_max + 5e-10))
         assert inside_band == pytest.approx(at_edge, abs=1e-4)
 
+    def test_tolerance_band_reaching_nonpositive_delta_tilde(self):
+        # tol = 0.6 >= 1/(2 mu) admits delta = 1.05, where delta_tilde = -0.05
+        # and no real spectrum exists: a GceError, not a math domain error.
+        with pytest.raises(OutOfRegionError, match="delta_tilde"):
+            ppt_smallest_eigenvalue(PurityPoint(1.0, 1.0, 1.0, 1.05), tol=0.6)
+
     @given(physical_standard_forms())
     def test_matches_matrix_spectrum(self, sf):
         p = purity_point(sf)

@@ -11,8 +11,10 @@ from gce import cli, core, entangle, estimator, extremal, oracle, param
 from gce.core import PurityPoint, default_tolerance, invariants, symplectic_spectrum
 from gce.entangle import (
     RegionLabel,
+    classify,
     coexistence_threshold,
     log_negativity,
+    region_code,
     separable_threshold,
 )
 from gce.errors import MalformedInputError, OutOfRegionError
@@ -125,6 +127,68 @@ class TestRelativeError:
     def test_vectorized(self):
         out = relative_error(np.array([3.0, 0.0]), np.array([1.0, 0.0]))
         assert out.tolist() == [0.5, 0.0]
+
+
+# One triple in each region: separable, coexistence, entangled.
+REGION_TRIPLES = [(0.5, 0.5, 0.3), (0.5, 0.5, 0.35), (0.5, 0.5, 0.6)]
+
+
+class TestTypesAndShapes:
+    """Scalars in give Python numbers out; arrays keep their shapes and dtypes."""
+
+    @pytest.mark.parametrize("triple", REGION_TRIPLES)
+    def test_scalar_input_gives_python_floats(self, triple):
+        mu1, mu2, mu = triple
+        result = estimate(*triple)
+        delta = 0.5 * sum(param.delta_bounds(*triple))
+        report = entanglement_report(PurityPoint(mu1, mu2, mu, delta))
+        values = [
+            result.en_max, result.en_min, result.en_avg, result.rel_err,
+            report.n_tilde_minus, report.log_negativity,
+            report.en_max, report.en_min, report.en_avg, report.rel_err,
+            en_max(*triple), en_min(*triple), relative_error(mu, mu1),
+            separable_threshold(mu1, mu2), coexistence_threshold(mu1, mu2),
+        ]
+        assert [type(v) for v in values] == [float] * len(values)
+        assert type(region_code(*triple)) is int
+        assert region_code(*triple) == list(RegionLabel).index(result.region)
+
+    @pytest.mark.parametrize("upper, lower", [(0.0, 0.0), (-1.0, 0.5), (0.5, -1.0)])
+    def test_nonpositive_total_gives_plain_zero(self, upper, lower):
+        out = relative_error(upper, lower)
+        assert type(out) is float and out == 0.0 and not math.copysign(1.0, out) < 0.0
+
+    def test_array_input_keeps_shape_and_dtype(self):
+        code = region_code(0.5, [0.5, 0.4], 0.3)
+        assert isinstance(code, np.ndarray) and code.dtype == np.dtype(int)
+        assert code.tolist() == [0, 1]
+        grid = region_code(np.full((2, 3), 0.5), 0.5, [0.3, 0.35, 0.6])
+        assert grid.dtype == np.dtype(int) and grid.tolist() == [[0, 1, 2]] * 2
+        rel = relative_error([3.0, 0.0, -1.0], [1.0, 0.0, 0.5])
+        assert rel.dtype == np.float64 and rel.tolist() == [0.5, 0.0, 0.0]
+        assert not np.signbit(rel).any()
+        assert relative_error([[1.0], [2.0]], [0.0, 1.0]).shape == (2, 2)
+        for bound in (en_max, en_min):
+            out = bound([0.5, 0.5, 0.5], 0.5, [[0.3], [0.6]])
+            assert out.dtype == np.float64 and out.shape == (2, 3)
+        for threshold in (separable_threshold, coexistence_threshold):
+            out = threshold([0.5, 0.4], 0.5)
+            assert out.dtype == np.float64 and out.shape == (2,)
+        mu1, mu2, mu = (np.array(column) for column in zip(*REGION_TRIPLES))
+        region, *bounds = estimate_arrays(mu1, mu2, mu, default_tolerance())
+        assert region.dtype == np.dtype(int) and region.tolist() == [0, 1, 2]
+        assert [(b.dtype, b.shape) for b in bounds] == [(np.float64, (3,))] * 4
+
+    @pytest.mark.parametrize("triple", REGION_TRIPLES)
+    def test_scalar_path_never_builds_arrays(self, monkeypatch, triple):
+        # A structural guard instead of a timing test: the scalar path runs
+        # on Python floats, and np.where and np.full would make 0-d arrays.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("array dispatch on the scalar path")
+
+        monkeypatch.setattr(np, "where", forbidden)
+        monkeypatch.setattr(np, "full", forbidden)
+        assert estimate(*triple).region is classify(*triple)
 
 
 class TestEstimate:

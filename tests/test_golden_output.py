@@ -1,4 +1,4 @@
-"""CLI output pinned byte for byte against committed files in tests/data.
+"""CLI and kernel output pinned byte for byte against committed files in tests/data.
 
 The files hold the `gce sweep`, `classify --json` and `bounds --json` output
 for the fixed inputs below, and the `gce analyze` output (text, `--json` and
@@ -6,6 +6,12 @@ for the fixed inputs below, and the `gce analyze` output (text, `--json` and
 Those matrices are fixed inputs, not regenerated: twelve lie outside
 standard form, two are near-pure, one is pure, and four carry correlations
 of 1e-12 or 1e-8, where the exact standard-form arithmetic matters.
+
+kernels.txt holds, as `float.hex`, every bit of the array kernels on 1000
+seeded triples (see `_kernel_triples`): the five `estimate_arrays` columns
+and the public `en_min`, `en_max`, `region_code`, `relative_error` and both
+thresholds. `estimate` is compared with `estimate_arrays` elsewhere, but
+both run the same kernels; this file is what catches an error they share.
 
 A refactor that keeps every formula must keep these bytes; a change that
 alters a printed digit must say why and regenerate the output files, from
@@ -18,9 +24,13 @@ import contextlib
 import io
 import pathlib
 
+import numpy as np
 import pytest
 
 from gce.cli import main
+from gce.core import default_tolerance
+from gce.entangle import coexistence_threshold, region_code, separable_threshold
+from gce.estimator import en_max, en_min, estimate_arrays, relative_error
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -77,11 +87,64 @@ def _analyze_text():
     return "".join(blocks)
 
 
+def _kernel_triples():
+    """1000 seeded valid triples over the strata where the kernels branch.
+
+    Marginals log-uniform down to 1e-6, or near-pure at 1 - 10^U(-12, -1),
+    half of them symmetric; in 250-triple strata, mu uniform in its strip,
+    on a threshold collar at 0, +-0.5, +-1 or +-2 tolerances, on the upper
+    strip edge, and uniform again with every third on the lower edge. The thresholds and
+    edges are written out here, so the inputs do not depend on the code
+    under test.
+    """
+    rng = np.random.default_rng(2003)
+    n = 1000
+    log_marginals = 10.0 ** rng.uniform(-6.0, 0.0, (2, n))
+    near_pure = 1.0 - 10.0 ** rng.uniform(-12.0, -1.0, (2, n))
+    mu1, mu2 = np.where(np.arange(n) % 5 == 1, near_pure, log_marginals)
+    mu2 = np.where(np.arange(n) % 2 == 0, mu1, mu2)
+    lower = mu1 * mu2
+    upper = lower / (lower + np.abs(mu1 - mu2))
+    mu = lower + rng.uniform(0.0, 1.0, n) * (upper - lower)
+    sep = lower / (mu1 + mu2 - lower)
+    coex = lower / np.sqrt(mu1 * mu1 + mu2 * mu2 - lower * lower)
+    steps = np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]) * default_tolerance()
+    collar = np.where(np.arange(n) % 2 == 0, sep, coex) + steps[np.arange(n) % 7]
+    stratum = np.arange(n) // 250
+    mu = np.where(stratum == 1, np.clip(collar, lower, upper), mu)
+    mu = np.where(stratum == 2, upper, mu)
+    mu = np.where((stratum == 3) & (np.arange(n) % 3 == 0), lower, mu)
+    return mu1, mu2, mu
+
+
+def _kernels_text():
+    mu1, mu2, mu = _kernel_triples()
+    region, lo, hi, avg, rel = estimate_arrays(mu1, mu2, mu, default_tolerance())
+    pub_hi, pub_lo = en_max(mu1, mu2, mu), en_min(mu1, mu2, mu)
+    columns = {
+        "mu1": mu1, "mu2": mu2, "mu": mu,
+        "region": region, "en_min": lo, "en_max": hi, "en_avg": avg, "rel_err": rel,
+        "pub_en_min": pub_lo, "pub_en_max": pub_hi,
+        "pub_region": region_code(mu1, mu2, mu),
+        "pub_rel_err": relative_error(pub_hi, pub_lo),
+        "separable": separable_threshold(mu1, mu2),
+        "coexistence": coexistence_threshold(mu1, mu2),
+    }
+    rows = [" ".join(columns)]
+    for i in range(len(mu)):
+        rows.append(" ".join(
+            str(int(v[i])) if v.dtype.kind == "i" else float(v[i]).hex()
+            for v in columns.values()
+        ))
+    return "\n".join(rows) + "\n"
+
+
 OUTPUTS = {
     "sweep_e.csv": lambda: _run(SWEEP_ARGS),
     "sweep_2.csv": lambda: _run(SWEEP_ARGS + ["--log-base", "2"]),
     "points.txt": _points_text,
     "analyze.txt": _analyze_text,
+    "kernels.txt": _kernels_text,
 }
 
 

@@ -41,6 +41,8 @@ class TestSampleConfig:
             {"tolerance": 0.0},
             {"tolerance": -1e-9},
             {"tolerance": "x"},
+            {"tolerance": float("nan")},
+            {"tolerance": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
