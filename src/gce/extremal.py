@@ -19,17 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    StandardForm,
-    _as_float,
-    _purity_error,
-    default_tolerance,
-    invariants,
-    resolve_tolerance,
-    symplectic_spectrum,
-)
+from .core import StandardForm, _as_float, _purity_error, default_tolerance, resolve_tolerance
 from .errors import GceError, InactiveBranchError, MalformedInputError
-from .param import _delta_branches, _delta_min, purity_masks, require_valid_purities
+from .param import _correlations, _delta_branches, _delta_min, purity_masks, require_valid_purities
 
 __all__ = [
     "SqueezedThermalParams",
@@ -71,6 +63,42 @@ class SqueezedThermalParams:
             )
 
 
+_SNAP = 32.0 * float(np.finfo(float).eps)  # a Python float keeps scalar snaps off numpy
+
+
+def _snapped(x, scale):
+    """x, or 0.0 where it lies below 32 eps * scale; floats or float arrays.
+
+    x is a difference of terms of size `scale` that vanishes on some locus
+    and goes under a square root, which would amplify its ~eps * scale
+    float noise into ~1e-8 spurious correlations.
+    """
+    # + 0.0 turns the -0.0 of a masked negative x into plain 0.0
+    return x * (x >= _SNAP * scale) + 0.0
+
+
+def _gmems_arrays(m1, m2, m):
+    """Entries (a, b, c_plus, c_minus) of `gmems` for valid floats or float arrays."""
+    # The builtins keep a scalar a Python float, as the ufuncs would not.
+    greater, sqrt = (max, math.sqrt) if isinstance(m, float) else (np.maximum, np.sqrt)
+    inv_prod = 1.0 / (m1 * m2)
+    inv_mu = 1.0 / m
+    c = 0.5 * sqrt(_snapped(inv_prod - inv_mu, greater(greater(1.0, inv_prod), inv_mu)))
+    return 0.5 / m1, 0.5 / m2, c, -c + 0.0
+
+
+def _glems_arrays(m1, m2, m):
+    """Entries (a, b, c_plus, c_minus) of `glems` for valid floats or float arrays."""
+    lesser, greater = (min, max) if isinstance(m, float) else (np.minimum, np.maximum)
+    delta_min = _delta_min(m1, m2, m)
+    delta_b, delta_h = _delta_branches(m1, m2, m)
+    delta_max = lesser(delta_b, delta_h)
+    scale = greater(greater(1.0, abs(delta_min)), abs(delta_b))
+    t1 = _snapped(delta_max - delta_min, scale)
+    u1 = _snapped(delta_b - delta_max, scale)
+    return (0.5 / m1, 0.5 / m2, *_correlations(m1, m2, m, t1, u1))
+
+
 def gmems(mu1, mu2, mu, tol: float | None = None) -> StandardForm:
     """Maximally entangled state at the given purities (delta = delta_min).
 
@@ -83,44 +111,23 @@ def gmems(mu1, mu2, mu, tol: float | None = None) -> StandardForm:
         MalformedInputError: purities outside (0, 1].
         OutOfRegionError: purity constraints violated.
     """
-    m1, m2, m = require_valid_purities(mu1, mu2, mu, tol)
-    rad = 1.0 / (m1 * m2) - 1.0 / m
-    # Same hazard as in glems: a square root amplifies the ~eps*scale float
-    # noise of a vanishing radicand into ~1e-8 spurious correlations.
-    snap = 32.0 * np.finfo(float).eps * max(1.0, 1.0 / (m1 * m2), 1.0 / m)
-    c = 0.5 * math.sqrt(rad) if rad >= snap else 0.0
-    return StandardForm(0.5 / m1, 0.5 / m2, c, -c + 0.0)
+    return StandardForm(*_gmems_arrays(*require_valid_purities(mu1, mu2, mu, tol)))
 
 
 def glems(mu1, mu2, mu, tol: float | None = None) -> StandardForm:
     """Least entangled state at the given purities (delta = delta_max).
 
-    Constructed by the generic purity inversion at the upper delta bound.
-    Where the uncertainty branch is the active bound (exactly when the
-    purities admit entangled states) the result saturates n_minus = 1/2; the
-    closed-form variant `glems_closed_form` applies only there.
+    The purity inversion at the upper delta bound, with the bound
+    differences snapped to zero inside their float noise window. Where the
+    uncertainty branch is the active bound (exactly when the purities admit
+    entangled states) the result saturates n_minus = 1/2; the closed-form
+    variant `glems_closed_form` applies only there.
 
     Raises:
         MalformedInputError: purities outside (0, 1].
         OutOfRegionError: purity constraints violated.
     """
-    m1, m2, m = require_valid_purities(mu1, mu2, mu, tol)
-    delta_min = _delta_min(m1, m2, m)
-    delta_b, delta_h = _delta_branches(m1, m2, m)
-    delta_max = min(delta_b, delta_h)
-    # Differences of the bounds sit under square roots, which would amplify
-    # their float noise (~eps * scale) into ~1e-8 correlations where the
-    # delta range collapses; snap anything inside the noise window to zero.
-    snap = 32.0 * np.finfo(float).eps * max(1.0, abs(delta_min), abs(delta_b))
-    t1 = delta_max - delta_min
-    t1 = 0.0 if t1 < snap else t1
-    u1 = delta_b - delta_max
-    u1 = 0.0 if u1 < snap else u1
-    half_sum = 0.5 * math.sqrt(m1 * m2 * t1 * (t1 + 1.0 / m))
-    half_diff = 0.5 * math.sqrt(m1 * m2 * u1 * (u1 + 1.0 / m))
-    return StandardForm(
-        0.5 / m1, 0.5 / m2, half_sum + half_diff, half_sum - half_diff
-    )
+    return StandardForm(*_glems_arrays(*require_valid_purities(mu1, mu2, mu, tol)))
 
 
 def glems_closed_form(mu1, mu2, mu, tol: float | None = None) -> StandardForm:
@@ -146,21 +153,16 @@ def glems_closed_form(mu1, mu2, mu, tol: float | None = None) -> StandardForm:
         )
     # Both radicands vanish on interior loci (the first where the delta range
     # collapses onto the uncertainty bound, the second where the bounded and
-    # uncertainty branches cross), so snap their float noise windows to zero
-    # exactly as the generic construction does for its delta differences.
-    eps = np.finfo(float).eps
+    # uncertainty branches cross), so their float noise is snapped to zero.
     prod = m1 * m2
     prod_sq = prod * prod
     x = 1.0 + 1.0 / (m * m) - (m1 - m2) ** 2 / prod_sq
     rad1 = prod * (x * x - 4.0 / (m * m))
-    snap1 = 32.0 * eps * prod * max(1.0, x * x, 4.0 / (m * m))
-    first = 0.125 * math.sqrt(rad1) if rad1 >= snap1 else 0.0
+    first = 0.125 * math.sqrt(_snapped(rad1, prod * max(1.0, x * x, 4.0 / (m * m))))
     lump = ((1.0 + m * m) * prod_sq - m * m * (m1 + m2) ** 2) ** 2 / (
         m * m * prod_sq * prod
     )
-    inner = lump - 4.0 * prod
-    snap2 = 32.0 * eps * max(1.0, lump, 4.0 * prod)
-    second = math.sqrt(inner) / (8.0 * m) if inner >= snap2 else 0.0
+    second = math.sqrt(_snapped(lump - 4.0 * prod, max(1.0, lump, 4.0 * prod))) / (8.0 * m)
     return StandardForm(0.5 / m1, 0.5 / m2, first + second, first - second)
 
 
@@ -183,14 +185,8 @@ def gmemms(mu1, mu2, tol: float | None = None) -> StandardForm:
         raise _purity_error(m1, m2, 1.0, t)
     prod = m1 * m2
     m = prod / (prod + abs(m1 - m2))
-    most = gmems(m1, m2, m, t)
-    least = glems(m1, m2, m, t)
-    gap = max(
-        abs(most.a - least.a),
-        abs(most.b - least.b),
-        abs(most.c_plus - least.c_plus),
-        abs(most.c_minus - least.c_minus),
-    )
+    most = _gmems_arrays(m1, m2, m)
+    gap = max(abs(x - y) for x, y in zip(most, _glems_arrays(m1, m2, m)))
     # Tripwire against formula defects, which would disagree at O(1). Sized
     # above the worst root-splitting noise (~1e-7, reached when one marginal
     # sits within ~1e-14 of pure and the collapsed correlation itself is of
@@ -199,7 +195,7 @@ def gmemms(mu1, mu2, tol: float | None = None) -> StandardForm:
         raise GceError(
             f"extremal constructions disagree at the collapsed point (gap {gap:.3g})"
         )
-    return most
+    return StandardForm(*most)
 
 
 def squeezed_thermal(params: SqueezedThermalParams) -> StandardForm:
@@ -223,13 +219,29 @@ def squeezed_thermal(params: SqueezedThermalParams) -> StandardForm:
     )
 
 
+def _squeezing_arrays(a, b, c, m):
+    """(r, n_minus, n_plus) of the squeezed thermal state (a, b, c, -c) of purity m.
+
+    From n_plus - n_minus = |b - a| and n_plus n_minus = 1/(4 m), with no
+    split of nearly equal roots. Floats or float arrays; no validation.
+    """
+    lesser = min if isinstance(m, float) else np.minimum
+    gap = abs(b - a)
+    n_plus = 0.5 * (np.sqrt(gap * gap + 1.0 / m) + gap)
+    # At a = b the roots coincide, and rounding must not put n_minus above n_plus.
+    n_minus = lesser(0.25 / (m * n_plus), n_plus)
+    return 0.5 * np.arcsinh(2.0 * c / (n_minus + n_plus)), n_minus, n_plus
+
+
 def gmems_squeezing(mu1, mu2, mu, tol: float | None = None) -> SqueezedThermalParams:
     """Squeezed-thermal parameters of the maximally entangled construction.
 
-    The thermal eigenvalues are the symplectic spectrum of
+    Closed form, so it never raises on a valid triple: the thermal
+    eigenvalues n_plus, n_minus = (sqrt((b - a)^2 + 1/mu) +- |b - a|)/2 of
     gmems(mu1, mu2, mu), which two-mode squeezing preserves, and the
-    squeezing follows from tanh(2r) = 2 c / (a + b). `squeezed_thermal` of
-    the result reproduces the gmems standard form when mu1 >= mu2, and its
+    squeezing sinh(2r) = 2c / (n_minus + n_plus), which keeps its digits
+    where tanh(2r) = 2c / (a + b) nears 1. `squeezed_thermal` of the
+    result reproduces the gmems standard form when mu1 >= mu2, and its
     mode-swapped mirror otherwise (the parametrized family always puts the
     less mixed mode first).
 
@@ -237,14 +249,6 @@ def gmems_squeezing(mu1, mu2, mu, tol: float | None = None) -> SqueezedThermalPa
         MalformedInputError: purities outside (0, 1].
         OutOfRegionError: purity constraints violated.
     """
-    sf = gmems(mu1, mu2, mu, tol)
-    spectrum = symplectic_spectrum(invariants(sf))
-    # Splitting nearly equal symplectic roots loses half the digits near the
-    # pure-state boundary; physical thermal eigenvalues never sit below 1/2.
-    n_minus = max(spectrum.n_minus, 0.5)
-    ratio = 2.0 * sf.c_plus / (sf.a + sf.b)
-    return SqueezedThermalParams(
-        r=0.5 * math.atanh(ratio),
-        n_minus=n_minus,
-        n_plus=max(spectrum.n_plus, n_minus),
-    )
+    m1, m2, m = require_valid_purities(mu1, mu2, mu, tol)
+    a, b, c, _ = _gmems_arrays(m1, m2, m)
+    return SqueezedThermalParams(*_squeezing_arrays(a, b, c, m))

@@ -19,7 +19,8 @@ from .core import StandardForm, _as_float, _checked_tolerance, resolve_tolerance
 from .entangle import _coexistence_threshold, _separable_threshold
 from .errors import ConfigurationError
 from .estimator import _en_max_core, _en_min_core
-from .param import _delta_branches, _delta_min, inversion_arrays, purity_arrays
+from .extremal import _glems_arrays, _gmems_arrays, _squeezing_arrays
+from .param import _delta_branches, _delta_min, purity_arrays
 
 __all__ = [
     "SampleConfig",
@@ -237,9 +238,10 @@ def _validate_batch(cfg: SampleConfig, batch: SampleBatch) -> dict:
 def crosscheck_closed_forms(cfg: SampleConfig) -> dict:
     """Dual-path agreement of the closed forms with the spectrum pipeline.
 
-    Over random valid purity triples (purities of sampled states):
+    Over random valid purity triples (purities of sampled states), audits
+    the shipped extremal kernels against the oracle's own spectrum code:
       * en_max vs E_N of the maximally entangled construction,
-      * en_min vs E_N of the generic inversion at delta_max,
+      * en_min vs E_N of the least entangled construction,
       * the squeezed-thermal identification round trip against the
         maximally entangled standard form (marginals ordered so the less
         mixed mode comes first, matching the parametrized family).
@@ -257,33 +259,17 @@ def _crosscheck_batch(cfg: SampleConfig, batch: SampleBatch) -> dict:
     mu1, mu2, mu, _ = purity_arrays(batch.a, batch.b, batch.c_plus, batch.c_minus)
 
     en_hi = _en_max_core(mu1, mu2, mu)
-    c_g = 0.5 * np.sqrt(np.maximum(1.0 / (mu1 * mu2) - 1.0 / mu, 0.0))
-    a_g = 0.5 / mu1
-    b_g = 0.5 / mu2
-    en_gmems = _log_negativity_arrays(_ppt_nmin_from_entries(a_g, b_g, c_g, -c_g))
+    en_gmems = _log_negativity_arrays(_ppt_nmin_from_entries(*_gmems_arrays(mu1, mu2, mu)))
     dev_max = np.abs(en_hi - en_gmems)
 
     en_lo = _en_min_core(mu1, mu2, mu)
-    delta_max = np.minimum(*_delta_branches(mu1, mu2, mu))
-    a_l, b_l, cp_l, cm_l = inversion_arrays(mu1, mu2, mu, delta_max)
-    en_glems = _log_negativity_arrays(_ppt_nmin_from_entries(a_l, b_l, cp_l, cm_l))
+    en_glems = _log_negativity_arrays(_ppt_nmin_from_entries(*_glems_arrays(mu1, mu2, mu)))
     dev_min = np.abs(en_lo - en_glems)
 
-    # Squeezed-thermal identification: thermal eigenvalues from the spectrum,
-    # squeezing from tanh(2r) = 2c/(a+b), reconstructed against the ordered
-    # maximally entangled form (a <= b).
-    s1 = np.maximum(mu1, mu2)
-    s2 = np.minimum(mu1, mu2)
-    a_o = 0.5 / s1
-    b_o = 0.5 / s2
-    ab = a_o * b_o
-    det_sigma = (ab - c_g * c_g) ** 2
-    delta = a_o * a_o + b_o * b_o - 2.0 * c_g * c_g
-    rad = np.maximum(delta * delta - 4.0 * det_sigma, 0.0)
-    root = np.sqrt(rad)
-    n_minus = np.sqrt(2.0 * det_sigma / (delta + root))
-    n_plus = np.sqrt(0.5 * (delta + root))
-    r = 0.5 * np.arctanh(2.0 * c_g / (a_o + b_o))
+    # Squeezed-thermal identification: the squeezing of the ordered maximally
+    # entangled form (a <= b), put back through the squeezed thermal entries.
+    a_o, b_o, c_o, _ = _gmems_arrays(np.maximum(mu1, mu2), np.minimum(mu1, mu2), mu)
+    r, n_minus, n_plus = _squeezing_arrays(a_o, b_o, c_o, mu)
     ch = np.cosh(r) ** 2
     sh = np.sinh(r) ** 2
     c_back = 0.5 * (n_minus + n_plus) * np.sinh(2.0 * r)
@@ -292,7 +278,7 @@ def _crosscheck_batch(cfg: SampleConfig, batch: SampleBatch) -> dict:
             np.abs(n_minus * ch + n_plus * sh - a_o),
             np.abs(n_plus * ch + n_minus * sh - b_o),
         ),
-        np.abs(c_back - c_g),
+        np.abs(c_back - c_o),
     )
 
     violations = {

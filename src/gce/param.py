@@ -10,6 +10,7 @@ directions and exposes the existence bounds on delta at fixed purities.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -138,12 +139,16 @@ def purity_point(sf: StandardForm, tol: float | None = None) -> PurityPoint:
 
 def _delta_min(m1, m2, m):
     """Lower seralian bound delta_min (see `delta_bounds`); no validation."""
-    return 0.5 / m + (m1 - m2) ** 2 / (4.0 * m1 * m1 * m2 * m2)
+    # Squares are products: on a Python float ** 2 calls libm pow, which can
+    # differ by an ulp from the x * x numpy evaluates for arrays.
+    gap = m1 - m2
+    return 0.5 / m + gap * gap / (4.0 * m1 * m1 * m2 * m2)
 
 
 def _delta_branches(m1, m2, m):
     """The upper seralian bounds (delta_b, delta_h) of `delta_bounds`; no validation."""
-    delta_b = (m1 + m2) ** 2 / (4.0 * m1 * m1 * m2 * m2) - 0.5 / m
+    total = m1 + m2
+    delta_b = total * total / (4.0 * m1 * m1 * m2 * m2) - 0.5 / m
     delta_h = 0.25 * (1.0 + 1.0 / (m * m))
     return delta_b, delta_h
 
@@ -194,32 +199,36 @@ def _delta_range(p: PurityPoint, tol: float):
     return p.delta, delta_min, delta_max
 
 
+def _correlations(m1, m2, m, t1, u1):
+    """(c_plus, c_minus) of `inversion_arrays` from its differences t1, u1 >= 0."""
+    sqrt = math.sqrt if isinstance(m, float) else np.sqrt
+    prod = m1 * m2
+    inv_mu = 1.0 / m
+    half_sum = 0.5 * sqrt(prod * t1 * (t1 + inv_mu))
+    half_diff = 0.5 * sqrt(prod * u1 * (u1 + inv_mu))
+    return half_sum + half_diff, half_sum - half_diff
+
+
 def inversion_arrays(mu1, mu2, mu, delta):
     """Vectorized standard form (a, b, c_plus, c_minus) from purities and seralian.
 
     Uses the factored radicands
 
-        (c_plus + c_minus)^2 = mu1 mu2 (delta - delta_min)(delta - delta_min + 1/mu)
-        (c_plus - c_minus)^2 = mu1 mu2 (delta_b - delta)(delta_b - delta + 1/mu)
+        (c_plus + c_minus)^2 = mu1 mu2 t1 (t1 + 1/mu),  t1 = delta - delta_min
+        (c_plus - c_minus)^2 = mu1 mu2 u1 (u1 + 1/mu),  u1 = delta_b - delta
 
     with both differences clamped at zero, so values of delta within
-    round-off of the boundary stay real. No validation; intended for trusted
-    bulk data.
+    round-off of the boundary stay real. Nothing is snapped: a state's own
+    distance to a bound is information, unlike the difference of two bounds
+    that `extremal.glems` snaps. No validation; intended for trusted bulk data.
     """
     m1 = np.asarray(mu1, dtype=float)
     m2 = np.asarray(mu2, dtype=float)
     m = np.asarray(mu, dtype=float)
     d = np.asarray(delta, dtype=float)
-    delta_min = _delta_min(m1, m2, m)
-    delta_b = _delta_branches(m1, m2, m)[0]
-    inv_mu = 1.0 / m
-    t1 = np.maximum(d - delta_min, 0.0)
-    u1 = np.maximum(delta_b - d, 0.0)
-    half_sum = 0.5 * np.sqrt(m1 * m2 * t1 * (t1 + inv_mu))
-    half_diff = 0.5 * np.sqrt(m1 * m2 * u1 * (u1 + inv_mu))
-    a = 0.5 / m1
-    b = 0.5 / m2
-    return a, b, half_sum + half_diff, half_sum - half_diff
+    t1 = np.maximum(d - _delta_min(m1, m2, m), 0.0)
+    u1 = np.maximum(_delta_branches(m1, m2, m)[0] - d, 0.0)
+    return (0.5 / m1, 0.5 / m2, *_correlations(m1, m2, m, t1, u1))
 
 
 def standard_form_from_purities(p: PurityPoint, tol: float | None = None) -> StandardForm:

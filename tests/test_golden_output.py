@@ -8,10 +8,12 @@ standard form, two are near-pure, one is pure, and four carry correlations
 of 1e-12 or 1e-8, where the exact standard-form arithmetic matters.
 
 kernels.txt holds, as `float.hex`, every bit of the array kernels on 1000
-seeded triples (see `_kernel_triples`): the five `estimate_arrays` columns
-and the public `en_min`, `en_max`, `region_code`, `relative_error` and both
-thresholds. `estimate` is compared with `estimate_arrays` elsewhere, but
-both run the same kernels; this file is what catches an error they share.
+seeded triples (see `_kernel_triples`): the five `estimate_arrays` columns,
+the public `en_min`, `en_max`, `region_code`, `relative_error` and both
+thresholds, the correlations of the `gmems` and `glems` kernels and of
+`gmemms` at the triple's marginals, and `delta_bounds`. The scalar API runs
+the same kernels, so `test_scalar_api_matches_kernels_file` holds it to the
+same bits; this file is what catches an error they share.
 
 A refactor that keeps every formula must keep these bytes; a change that
 alters a printed digit must say why and regenerate the output files, from
@@ -29,8 +31,15 @@ import pytest
 
 from gce.cli import main
 from gce.core import default_tolerance
-from gce.entangle import coexistence_threshold, region_code, separable_threshold
-from gce.estimator import en_max, en_min, estimate_arrays, relative_error
+from gce.entangle import (
+    RegionLabel,
+    coexistence_threshold,
+    region_code,
+    separable_threshold,
+)
+from gce.estimator import en_max, en_min, estimate, estimate_arrays, relative_error
+from gce.extremal import _glems_arrays, _gmems_arrays, glems, gmemms, gmems
+from gce.param import delta_bounds
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -121,6 +130,9 @@ def _kernels_text():
     mu1, mu2, mu = _kernel_triples()
     region, lo, hi, avg, rel = estimate_arrays(mu1, mu2, mu, default_tolerance())
     pub_hi, pub_lo = en_max(mu1, mu2, mu), en_min(mu1, mu2, mu)
+    most, least = _gmems_arrays(mu1, mu2, mu), _glems_arrays(mu1, mu2, mu)
+    edge = [gmemms(x, y) for x, y in zip(mu1.tolist(), mu2.tolist())]
+    delta_min, delta_max = delta_bounds(mu1, mu2, mu)
     columns = {
         "mu1": mu1, "mu2": mu2, "mu": mu,
         "region": region, "en_min": lo, "en_max": hi, "en_avg": avg, "rel_err": rel,
@@ -129,6 +141,11 @@ def _kernels_text():
         "pub_rel_err": relative_error(pub_hi, pub_lo),
         "separable": separable_threshold(mu1, mu2),
         "coexistence": coexistence_threshold(mu1, mu2),
+        "gmems_c_plus": most[2], "gmems_c_minus": most[3],
+        "glems_c_plus": least[2], "glems_c_minus": least[3],
+        "gmemms_c_plus": np.array([sf.c_plus for sf in edge]),
+        "gmemms_c_minus": np.array([sf.c_minus for sf in edge]),
+        "delta_min": delta_min, "delta_max": delta_max,
     }
     rows = [" ".join(columns)]
     for i in range(len(mu)):
@@ -152,6 +169,25 @@ OUTPUTS = {
 def test_output_matches_committed_file(name):
     expected = (DATA / name).read_text(encoding="utf-8")
     assert OUTPUTS[name]() == expected
+
+
+def test_scalar_api_matches_kernels_file():
+    """Scalar calls give Python floats with the bits of the kernels file."""
+    lines = (DATA / "kernels.txt").read_text(encoding="utf-8").splitlines()
+    names = lines[0].split()
+    for line in lines[1:]:
+        row = dict(zip(names, line.split()))
+        triple = tuple(float.fromhex(row[k]) for k in ("mu1", "mu2", "mu"))
+        est = estimate(*triple)
+        assert est.region is list(RegionLabel)[int(row["region"])], triple
+        got = {"en_min": est.en_min, "en_max": est.en_max, "en_avg": est.en_avg,
+               "rel_err": est.rel_err}
+        got["delta_min"], got["delta_max"] = delta_bounds(*triple)
+        for name, construct in (("gmems", gmems), ("glems", glems)):
+            sf = construct(*triple)
+            got[f"{name}_c_plus"], got[f"{name}_c_minus"] = sf.c_plus, sf.c_minus
+        for name, value in got.items():
+            assert type(value) is float and value.hex() == row[name], (triple, name)
 
 
 if __name__ == "__main__":
