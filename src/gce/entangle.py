@@ -113,12 +113,10 @@ def ppt_smallest_eigenvalue(p: PurityPoint, tol: float | None = None) -> float:
             or delta_tilde <= 0, which a tol >= 1/(2 mu) lets through.
     """
     delta = _delta_range(p, resolve_tolerance(tol))[0]
-    delta_tilde = -delta + 0.5 / (p.mu1 * p.mu1) + 0.5 / (p.mu2 * p.mu2)
+    delta_tilde = 0.5 / (p.mu1 * p.mu1) + 0.5 / (p.mu2 * p.mu2) - delta
     if delta_tilde <= 0.0:
         raise OutOfRegionError(f"delta = {delta:.12g} gives delta_tilde = {delta_tilde:.12g} <= 0")
-    k = 0.25 / (p.mu * p.mu)
-    rad = max(delta_tilde * delta_tilde - k, 0.0)
-    return math.sqrt(0.5 * k / (delta_tilde + math.sqrt(rad)))
+    return math.sqrt(_ppt_nmin_sq(p.mu1, p.mu2, p.mu, delta))
 
 
 def log_negativity(n_tilde_minus: float) -> float:

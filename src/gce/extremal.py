@@ -187,11 +187,10 @@ def gmemms(mu1, mu2, tol: float | None = None) -> StandardForm:
     m = prod / (prod + abs(m1 - m2))
     most = _gmems_arrays(m1, m2, m)
     gap = max(abs(x - y) for x, y in zip(most, _glems_arrays(m1, m2, m)))
-    # Tripwire against formula defects, which would disagree at O(1). Sized
-    # above the worst root-splitting noise (~1e-7, reached when one marginal
-    # sits within ~1e-14 of pure and the collapsed correlation itself is of
-    # noise scale), so it never fires on conditioning artifacts.
-    if gap > 1e-6:
+    # Tripwire against formula defects, which would disagree at the scale of
+    # the entries. The glems side splits bounds of size ~1/mu_i^2; scaled by
+    # the entries, its noise stayed below 5e-8 on near-pure and small marginals.
+    if gap > 1e-6 * max(1.0, most[0], most[1]):
         raise GceError(
             f"extremal constructions disagree at the collapsed point (gap {gap:.3g})"
         )

@@ -2,7 +2,9 @@
 
 import json
 import math
+import pathlib
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -294,6 +296,69 @@ class TestStandardFormRoundTrip:
     def test_to_standard_form_rejects_unphysical(self):
         with pytest.raises(UnphysicalStateError):
             to_standard_form(np.eye(4) * 0.3)
+
+
+def _reference_standard_form(m: np.ndarray) -> tuple:
+    """(a, b, c_plus, c_minus) at 50 digits, from the block determinants.
+
+    c_plus^2 and c_minus^2 are the roots of t^2 - s t + (det gamma)^2 with
+    ab s = (ab)^2 + (det gamma)^2 - det sigma, and c_plus c_minus = det gamma.
+    """
+    with mpmath.workdps(50):
+        r = [[mpmath.mpf(x) for x in row] for row in m.tolist()]
+
+        def minor(i, j):
+            return r[i][j] * r[i + 1][j + 1] - r[i + 1][j] * r[i][j + 1]
+
+        det_gamma = minor(0, 2)
+        a, b = mpmath.sqrt(minor(0, 0)), mpmath.sqrt(minor(2, 2))
+        s = ((a * b) ** 2 + det_gamma ** 2 - mpmath.det(mpmath.matrix(r))) / (a * b)
+        c_plus = mpmath.sqrt((s + mpmath.sqrt(max(s * s - 4 * det_gamma ** 2, 0))) / 2)
+        c_minus = det_gamma / c_plus if c_plus else mpmath.mpf(0)
+        return a, b, c_plus, c_minus
+
+
+def _reference_inputs() -> list:
+    """The stored golden matrices plus 300 seeded states outside standard form.
+
+    Each seeded state is a thermal state with spectra 1/2 + 10^U(-9, 0.5),
+    correlated by a beam splitter and a two-mode squeezer whose parameters
+    are 10^U(-13, 0) times a uniform draw, then locally squeezed (|s| <= 1)
+    and rotated.
+    """
+    stored = sorted((pathlib.Path(__file__).parent / "data" / "analyze").glob("*.json"))
+    out = [from_json(path.read_text()).entries for path in stored]
+    rng = np.random.default_rng(24)
+    for _ in range(300):
+        n1, n2 = 0.5 + 10.0 ** rng.uniform(-9.0, 0.5, 2)
+        scale = 10.0 ** rng.uniform(-13.0, 0.0)
+        r, theta = scale * rng.uniform(0.0, 1.0), scale * rng.uniform(-1.0, 1.0)
+        c, s = math.cos(theta), math.sin(theta)
+        mixer = np.array([[c, 0, s, 0], [0, c, 0, s], [-s, 0, c, 0], [0, -s, 0, c]])
+        ch, sh = math.cosh(r), math.sinh(r)
+        squeezer = np.array([[ch, 0, sh, 0], [0, ch, 0, -sh], [sh, 0, ch, 0], [0, -sh, 0, ch]])
+        local = local_symplectic(rng.uniform(-math.pi, math.pi), rng.uniform(-1.0, 1.0),
+                                 rng.uniform(-math.pi, math.pi), rng.uniform(-1.0, 1.0))
+        m = transform(np.diag([n1, n1, n2, n2]), mixer @ squeezer @ local)
+        out.append(0.5 * (m + m.T))
+    return out
+
+
+class TestStandardFormReference:
+    inputs = _reference_inputs()
+
+    def test_matches_50_digit_reference(self):
+        eps = np.finfo(float).eps
+        for m in self.inputs:
+            got = to_standard_form(m).as_tuple()
+            bound = 4.0 * eps * float(np.max(np.abs(m)))
+            for x, ref in zip(got, _reference_standard_form(m)):
+                assert abs(x - ref) <= bound, (m.tolist(), got)
+
+    def test_marginals_agree_with_purities(self):
+        for m in self.inputs:
+            p, sf = purities(m), to_standard_form(m)
+            assert (p.mu1, p.mu2) == (0.5 / sf.a, 0.5 / sf.b)
 
 
 class TestJson:

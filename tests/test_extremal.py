@@ -187,6 +187,9 @@ class TestGmemms:
             gmemms(1e-200, 1e-200)
 
     @given(purity_triples())
+    # A near-pure and a small marginal: the collapsed-point tripwire fired
+    # here at gap 6.0e-5 while it compared against an unscaled 1e-6.
+    @example((0.9999999999979902, 0.00013838126685389066, 0.00013838126685389066))
     def test_marginal_purities_round_trip(self, triple):
         mu1, mu2, _ = triple
         p = purity_point(gmemms(mu1, mu2))

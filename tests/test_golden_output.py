@@ -5,7 +5,9 @@ for the fixed inputs below, and the `gce analyze` output (text, `--json` and
 `--log-base 2`) for each covariance matrix stored in tests/data/analyze.
 Those matrices are fixed inputs, not regenerated: twelve lie outside
 standard form, two are near-pure, one is pure, and four carry correlations
-of 1e-12 or 1e-8, where the exact standard-form arithmetic matters.
+of 1e-12 or 1e-8, far below the entries that the float standard form
+normalises. The `--json` blocks print the standard form with `repr`, so
+they pin its last bits; tests/test_core.py holds it to a 50-digit reference.
 
 kernels.txt holds, as `float.hex`, every bit of the array kernels on 1000
 seeded triples (see `_kernel_triples`): the five `estimate_arrays` columns,
